@@ -9,27 +9,38 @@ import hashlib
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
-from .engine import ConfigError, Scenario, run, scenario_variant
+from .engine import ConfigError, Scenario, Simulation, run, scenario_variant
 from .metrics import AccountingError, MetricsReport, classify_qos
+from .node import ProbeStrategy
+from .topology import TopologyError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 
-SWEEP_AXES = ("cache_size_ratio", "cache_update_ratio", "failures", "frequency")
+# Sweep axis -> the Scenario field it varies.
+SWEEP_AXES = {
+    "cache_size_ratio": "cache_size_ratio",
+    "cache_update_ratio": "cache_update_ratio",
+    "failures": "failures",
+    "frequency": "interest_frequency",
+}
 DEFAULT_STRATEGIES = ("basic-ccn", "pit-probe", "fib-probe")
-ALL_STRATEGIES = ("basic-ccn", "pit-probe", "fib-probe", "sequential", "random")
+ALL_STRATEGIES = tuple(s.value for s in ProbeStrategy)
 
-# Table-1 parameter ranges, enforced unless --force.
+# Table-1 parameter ranges, enforced unless --force; `failures` bounds each
+# event's count. Zero also passes where it means "off".
 RANGES = {
     "interest_frequency": (1, 30),
     "cache_size_ratio": (0.01, 0.40),
     "cache_update_ratio": (0.01, 0.50),
     "failures": (1, 20),
 }
+ZERO_MEANS_OFF = {"cache_update_ratio", "failures"}
 
 
 def _parse_failures(text: str) -> tuple[tuple[float, int], ...]:
@@ -72,40 +83,29 @@ def _parse_values(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
-# key -> parser for everything a config file or --set may contain.
+# Parser per Scenario field type, as `dataclasses.fields` spells it (the
+# annotations are strings under `from __future__ import annotations`).
+TYPE_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "int | None": _parse_optional_int,
+    "float | None": _parse_optional_float,
+    "float | str | None": _parse_bandwidth,
+    "tuple[tuple[float, int], ...]": _parse_failures,
+}
+
+# key -> parser for everything a config file or --set may contain: the
+# Scenario fields plus the harness keys.
+SCENARIO_KEYS = {f.name: TYPE_PARSERS[f.type] for f in fields(Scenario)}
 CONFIG_KEYS = {
-    "topology": str,
-    "sim_duration": float,
-    "interest_frequency": int,
-    "cache_size_ratio": float,
-    "cache_update_ratio": float,
-    "probe_strategy": str,
-    "cs_policy": str,
-    "forwarding": str,
-    "timeout": float,
-    "failures": _parse_failures,
-    "rng_seed": int,
-    "contents_per_producer": int,
-    "payload_size": int,
-    "link_delay": _parse_optional_float,
-    "link_bandwidth": _parse_bandwidth,
-    "queue_capacity": int,
-    "fib_capacity": _parse_optional_int,
-    "fib_entry_ttl": _parse_optional_float,
-    "producer_routing": _parse_bool,
+    **SCENARIO_KEYS,
     "repeats": int,
     "output_dir": str,
     "sweep_axis": str,
     "sweep_values": _parse_values,
     "strategies": _parse_values,
-}
-
-SCENARIO_KEYS = {
-    "topology", "sim_duration", "interest_frequency", "cache_size_ratio",
-    "cache_update_ratio", "probe_strategy", "cs_policy", "forwarding",
-    "timeout", "failures", "rng_seed", "contents_per_producer",
-    "payload_size", "link_delay", "link_bandwidth", "queue_capacity",
-    "fib_capacity", "fib_entry_ttl", "producer_routing",
 }
 
 
@@ -189,19 +189,14 @@ def check_ranges(scenario: Scenario, force: bool) -> None:
     if force:
         return
     problems = []
-    lo, hi = RANGES["interest_frequency"]
-    if not lo <= scenario.interest_frequency <= hi:
-        problems.append(f"interest_frequency {scenario.interest_frequency} outside [{lo},{hi}]")
-    lo, hi = RANGES["cache_size_ratio"]
-    if not lo <= scenario.cache_size_ratio <= hi:
-        problems.append(f"cache_size_ratio {scenario.cache_size_ratio} outside [{lo},{hi}]")
-    lo, hi = RANGES["cache_update_ratio"]
-    if scenario.cache_update_ratio != 0 and not lo <= scenario.cache_update_ratio <= hi:
-        problems.append(f"cache_update_ratio {scenario.cache_update_ratio} outside 0 or [{lo},{hi}]")
-    lo, hi = RANGES["failures"]
-    for _t, count in scenario.failures:
-        if count != 0 and not lo <= count <= hi:
-            problems.append(f"failure count {count} outside [{lo},{hi}]")
+    for key, (lo, hi) in RANGES.items():
+        value = getattr(scenario, key)
+        values = [count for _t, count in value] if key == "failures" else [value]
+        zero_ok = key in ZERO_MEANS_OFF
+        for v in values:
+            if not (lo <= v <= hi or (zero_ok and v == 0)):
+                problems.append(
+                    f"{key} {v} outside {'0 or ' if zero_ok else ''}[{lo},{hi}]")
     if problems:
         raise ConfigError("; ".join(problems) + " (use --force to override)")
 
@@ -232,20 +227,13 @@ SWEEP_HEADER = ["strategy", "axis", "axis_value", "seed", "scenario_hash",
 
 
 def _axis_variant(scenario: Scenario, axis: str, value: str) -> tuple[Scenario, float]:
-    if axis == "cache_size_ratio":
-        v = float(value)
-        return scenario_variant(scenario, cache_size_ratio=v), v
-    if axis == "cache_update_ratio":
-        v = float(value)
-        return scenario_variant(scenario, cache_update_ratio=v), v
-    if axis == "frequency":
-        v = int(value)
-        return scenario_variant(scenario, interest_frequency=v), v
-    if axis == "failures":
+    if axis == "failures":  # one event of `value` routers, at half time
         v = int(value)
         at = scenario.sim_duration / 2.0
         return scenario_variant(scenario, failures=((at, v),)), v
-    raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    field = SWEEP_AXES[axis]
+    v = SCENARIO_KEYS[field](value)
+    return scenario_variant(scenario, **{field: v}), v
 
 
 def _run_point(args: tuple) -> list:
@@ -257,26 +245,31 @@ def _run_point(args: tuple) -> list:
             *report.csv_values()]
 
 
-def cmd_validate(args) -> int:
+def load(args) -> tuple[dict, Scenario, int]:
+    """The config, scenario and repeat count every command starts from."""
     config = parse_config(args.config)
     apply_overrides(config, args.set)
     scenario = build_scenario(config)
+    if args.seed is not None:
+        scenario = scenario_variant(scenario, rng_seed=args.seed)
+    repeats = args.repeats if args.repeats is not None else config.get("repeats", 1)
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    return config, scenario, repeats
+
+
+def cmd_validate(args) -> int:
+    _config, scenario, _repeats = load(args)
     check_ranges(scenario, args.force)
+    Simulation(scenario)  # every construction check; no event runs
     print(f"ok: scenario {scenario_hash(scenario)} "
           f"({scenario.probe_strategy}, topology {Path(scenario.topology).name})")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    config = parse_config(args.config)
-    apply_overrides(config, args.set)
-    scenario = build_scenario(config)
-    if args.seed is not None:
-        scenario = scenario_variant(scenario, rng_seed=args.seed)
+    config, scenario, repeats = load(args)
     check_ranges(scenario, args.force)
-    repeats = args.repeats if args.repeats is not None else config.get("repeats", 1)
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
     out_dir = Path(args.out or config.get("output_dir", "."))
 
     rows = []
@@ -299,22 +292,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = parse_config(args.config)
-    apply_overrides(config, args.set)
-    scenario = build_scenario(config)
-    if args.seed is not None:
-        scenario = scenario_variant(scenario, rng_seed=args.seed)
+    config, scenario, repeats = load(args)
     axis = args.axis or config.get("sweep_axis")
     values = args.values or config.get("sweep_values")
     if axis is None or axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep needs an axis from {SWEEP_AXES}, got {axis!r}")
+        raise ConfigError(f"sweep needs an axis from {tuple(SWEEP_AXES)}, got {axis!r}")
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
     strategies = args.strategies or config.get("strategies") or list(DEFAULT_STRATEGIES)
     for s in strategies:
         if s not in ALL_STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}; expected one of {ALL_STRATEGIES}")
-    repeats = args.repeats if args.repeats is not None else config.get("repeats", 1)
     out_dir = Path(args.out or config.get("output_dir", "."))
 
     points = []
@@ -485,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="check a config without running")
     common(p_validate, sweep=None)
-    p_validate.set_defaults(func=cmd_validate)
+    p_validate.set_defaults(func=cmd_validate, seed=None, repeats=None)
 
     p_run = sub.add_parser("run", help="run one scenario over one or more seeds")
     common(p_run)
@@ -509,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, TopologyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AccountingError as exc:

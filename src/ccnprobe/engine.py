@@ -239,11 +239,11 @@ class Simulation:
             scenario.contents_per_producer)
         cs_capacity = max(1, int(scenario.cache_size_ratio * len(self.catalog) + 1e-9))
 
-        for time, count in scenario.failures:
-            if count > len(graph.pure_routers()):
-                raise ConfigError(
-                    f"failure of {count} routers exceeds the {len(graph.pure_routers())} "
-                    f"eligible pure routers")
+        # Victims never return, so all failure events draw on one pool.
+        failed = sum(count for _time, count in scenario.failures)
+        if failed > len(graph.pure_routers()):
+            raise ConfigError(f"cannot fail {failed} routers in total; only "
+                              f"{len(graph.pure_routers())} eligible")
 
         spts = build_all_spts(graph)
         strategy = ProbeStrategy(scenario.probe_strategy)

@@ -90,7 +90,6 @@ class MetricsReport:
     hop_count_sum: int = 0           # data hops to reach the origin router
     delivered_data: int = 0
     response_time_samples: list[float] = field(default_factory=list)  # seconds
-    delay_samples: list[float] = field(default_factory=list)          # ms
     # Derived at finalize().
     sent_packets: int = 0
     received_packets: int = 0
@@ -107,9 +106,13 @@ class MetricsReport:
     def unsatisfied_count(self) -> int:
         return self.unsatisfied_timeout + self.unsatisfied_failed
 
+    @property
+    def delay_samples(self) -> list[float]:
+        """The response times in milliseconds."""
+        return [s * 1000.0 for s in self.response_time_samples]
+
     def add_response(self, seconds: float) -> None:
         self.response_time_samples.append(seconds)
-        self.delay_samples.append(seconds * 1000.0)
 
     def finalize(self) -> "MetricsReport":
         """Compute the derived metrics and audit the conservation identities."""
@@ -128,11 +131,12 @@ class MetricsReport:
                 f"accounted {accounted}")
         self.throughput_pkt_s = (throughput(self.received_packets, self.duration)
                                  if self.duration > 0 else 0.0)
-        self.avg_delay_ms = average_delay(self.delay_samples)
-        if not self.delay_samples:
+        delays = self.delay_samples
+        self.avg_delay_ms = average_delay(delays)
+        if not delays:
             self.warnings.append("no-delay-samples")
-        self.jitter_ms = jitter(self.delay_samples)
-        if len(self.delay_samples) < 2:
+        self.jitter_ms = jitter(delays)
+        if len(delays) < 2:
             self.warnings.append("jitter-undefined")
         self.avg_response_time_s = average_delay(self.response_time_samples)
         self.hop_count_mean = (self.hop_count_sum / self.delivered_data

@@ -110,7 +110,6 @@ class PitEntry:
     deadline: float
     created: float
     incoming: set[RouterId] = field(default_factory=set)
-    outgoing: RouterId | None = None
     seen_nonces: set[int] = field(default_factory=set)
     arrival_count: int = 1
     # Populated only at the router where the interest originated.
@@ -121,17 +120,12 @@ class PitEntry:
     # Deadline for which a timeout event is already queued (engine bookkeeping).
     timeout_event_at: float = -1.0
 
-    @property
-    def is_initial(self) -> bool:
-        return bool(self.local_tokens)
-
 
 @dataclass(slots=True)
 class FibEntry:
     name: ContentName
     providers: list[RouterId]
     last_update: float
-    last_access: float
     # Cached min SPT cost over providers, tagged with the SPT generation it
     # was computed against.
     _min_cost: float = INF
@@ -191,18 +185,6 @@ class RouterState:
         return name in self.origin or name in self.cs.entries
 
     # -- probe selection ----------------------------------------------------
-
-    def _entry_min_cost(self, entry: FibEntry) -> float:
-        if entry._min_cost_gen != self.spt_gen:
-            cost = INF
-            spt_cost = self.spt.cost
-            for rid in entry.providers:
-                c = spt_cost(rid)
-                if c is not None and c < cost:
-                    cost = c
-            entry._min_cost = cost
-            entry._min_cost_gen = self.spt_gen
-        return entry._min_cost
 
     def _probe_worthy(self, name: ContentName, sending: ContentName | None) -> bool:
         """A probe must name content this router neither requests nor holds.
@@ -316,8 +298,6 @@ class RouterState:
         if (self.fib_entry_ttl is not None and now is not None
                 and now - entry.last_update > self.fib_entry_ttl):
             return None
-        if now is not None:
-            entry.last_access = now
         self.fib.move_to_end(name)
         best_rid = None
         best_cost = INF
@@ -372,7 +352,7 @@ class RouterState:
         if entry is None:
             if self.fib_capacity is not None and len(self.fib) >= self.fib_capacity:
                 self.fib.popitem(last=False)
-            entry = FibEntry(name, [], now, now)
+            entry = FibEntry(name, [], now)
             self.fib[name] = entry
             self._fib_ring.append(name)
         else:
@@ -461,7 +441,6 @@ class RouterState:
                 best = self._producer_route(name, entry.tried_providers, in_iface)
             if best is not None:
                 provider, iface = best
-                entry.outgoing = iface
                 if in_iface == LOCAL:
                     entry.expected_provider = provider
                 return [Action(ActionKind.FORWARD_INTEREST, interest, iface)]
@@ -520,7 +499,6 @@ class RouterState:
             if best is not None:
                 provider, iface = best
                 entry.deadline = now + self.timeout
-                entry.outgoing = iface
                 entry.expected_provider = provider
                 return [Action(ActionKind.FORWARD_INTEREST, interest, iface)]
         if not entry.broadcast_retry_used and self.neighbors:

@@ -68,9 +68,6 @@ class Graph:
         self.adj[a].sort()
         self.adj[b].sort()
 
-    def neighbors(self, rid: RouterId) -> list[RouterId]:
-        return self.adj[rid]
-
     def link(self, a: RouterId, b: RouterId) -> Link:
         return self.links[(a, b)]
 

@@ -1,11 +1,13 @@
 import csv
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from ccnprobe.cli import (EXIT_CONFIG, EXIT_OK, RUN_HEADER, SWEEP_HEADER,
-                          apply_overrides, build_scenario, check_ranges,
-                          data_path, main, parse_config, scenario_hash)
+from ccnprobe.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_OK, RUN_HEADER,
+                          SWEEP_HEADER, apply_overrides, build_scenario,
+                          check_ranges, data_path, main, parse_config,
+                          scenario_hash)
 from ccnprobe.engine import ConfigError, Scenario
 
 SMALL_CFG = """
@@ -300,3 +302,48 @@ class TestValidateCommand:
 def test_data_path_resolves_bundled_files():
     assert data_path("abilene.topo") is not None
     assert data_path("not-a-file.topo") is None
+
+
+class TestScenarioDerivedKeys:
+    def test_every_scenario_field_is_a_config_key(self):
+        assert {f.name for f in fields(Scenario)} <= set(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("item,key,expected", [
+        ("fib_capacity=unlimited", "fib_capacity", None),
+        ("fib_capacity=none", "fib_capacity", None),
+        ("link_delay=default", "link_delay", None),
+        ("link_bandwidth=unlimited", "link_bandwidth", "unlimited"),
+        ("producer_routing=yes", "producer_routing", True),
+        ("failures=1:2", "failures", ((1.0, 2),)),
+        ("interest_frequency=3", "interest_frequency", 3),
+    ])
+    def test_documented_spellings_give_typed_values(self, cfg, item, key, expected):
+        config = parse_config(cfg)
+        apply_overrides(config, [item])
+        value = getattr(build_scenario(config), key)
+        assert value == expected
+        assert type(value) is type(expected)
+
+
+class TestLoadChecks:
+    def test_validate_checks_failure_total_against_topology(self, capsys):
+        # fig8's graph has 33 eligible routers; each event alone is in range.
+        assert main(["validate", "--config", "fig8.cfg",
+                     "--set", "failures=100:20,200:20"]) == EXIT_CONFIG
+        assert "40 routers in total" in capsys.readouterr().err
+
+    def test_validate_rejects_zero_repeats(self, cfg):
+        assert main(["validate", "--config", str(cfg),
+                     "--set", "repeats=0"]) == EXIT_CONFIG
+
+    def test_sweep_zero_repeats_exits_2_without_output(self, cfg, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--repeats", "0"]) == EXIT_CONFIG
+        assert not (out / "sweep.csv").exists()
+
+    def test_malformed_topology_exits_2(self, tmp_path):
+        (tmp_path / "bad.topo").write_text("node A\nedge A Z\n")
+        path = tmp_path / "c.cfg"
+        path.write_text("topology = bad.topo\n")
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG

@@ -318,3 +318,19 @@ class TestRun:
                                       link_bandwidth=4096.0, queue_capacity=4))
         assert report.packet_loss_pct > 0.0
         assert report.received_packets < report.sent_packets
+
+
+class TestFailureTotals:
+    def sprint52(self, failures):
+        return Scenario(topology=str(data_path("sprint52.topo")),
+                        sim_duration=40.0, failures=failures)
+
+    def test_summed_counts_above_eligible_rejected_before_events(self):
+        # 33 eligible routers; each event alone is within the pool.
+        with pytest.raises(ConfigError, match="40 routers in total"):
+            Simulation(self.sprint52(((10.0, 20), (20.0, 20))))
+
+    def test_summed_counts_up_to_eligible_accepted(self):
+        sim = Simulation(self.sprint52(((10.0, 20), (20.0, 13))))
+        sim.run()
+        assert sim.graph.pure_routers() == []
