@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -227,12 +228,15 @@ SWEEP_HEADER = ["strategy", "axis", "axis_value", "seed", "scenario_hash",
 
 
 def _axis_variant(scenario: Scenario, axis: str, value: str) -> tuple[Scenario, float]:
-    if axis == "failures":  # one event of `value` routers, at half time
-        v = int(value)
+    field = SWEEP_AXES[axis]
+    parse = int if axis == "failures" else SCENARIO_KEYS[field]
+    try:
+        v = parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad {axis} value {value!r}: {exc}") from None
+    if axis == "failures":  # one event of `v` routers, at half time
         at = scenario.sim_duration / 2.0
         return scenario_variant(scenario, failures=((at, v),)), v
-    field = SWEEP_AXES[axis]
-    v = SCENARIO_KEYS[field](value)
     return scenario_variant(scenario, **{field: v}), v
 
 
@@ -299,6 +303,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep needs an axis from {tuple(SWEEP_AXES)}, got {axis!r}")
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     strategies = args.strategies or config.get("strategies") or list(DEFAULT_STRATEGIES)
     for s in strategies:
         if s not in ALL_STRATEGIES:
@@ -314,8 +320,10 @@ def cmd_sweep(args) -> int:
                 points.append((variant, strategy, axis, axis_value,
                                scenario.rng_seed + i))
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # More workers than points or cores would only idle or contend.
+    jobs = min(args.jobs, len(points), os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_point, points))
     else:
         rows = [_run_point(p) for p in points]

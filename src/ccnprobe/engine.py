@@ -190,7 +190,7 @@ def inject_cache_churn(routers: list[RouterState], ratio: float,
             continue
         k = math.ceil(ratio * count)
         for name in rng.sample(router.cs.names(), k):
-            router.cs.remove(name)
+            router.evict_cached(name)
         evicted += k
     return evicted
 

@@ -4,6 +4,7 @@ interest/data/timeout processing procedures with probe selection."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -50,7 +51,6 @@ class Action:
 class CsEntry:
     size: int
     insert_time: float
-    last_access: float
 
 
 class ContentStore:
@@ -71,30 +71,25 @@ class ContentStore:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def touch(self, name: ContentName, now: float) -> None:
-        entry = self.entries.get(name)
-        if entry is None:
-            return
-        entry.last_access = now
-        if self.policy == "lru":
+    def touch(self, name: ContentName) -> None:
+        if self.policy == "lru" and name in self.entries:
             self.entries.move_to_end(name)
 
     def insert(self, name: ContentName, size: int, now: float) -> ContentName | None:
         """Store `name`; returns the evicted name when the store was full.
 
-        Re-inserting an existing name refreshes its timestamps and position
+        Re-inserting an existing name refreshes its timestamp and position
         without evicting anything.
         """
         existing = self.entries.get(name)
         if existing is not None:
             existing.insert_time = now
-            existing.last_access = now
             self.entries.move_to_end(name)
             return None
         evicted = None
         if len(self.entries) >= self.capacity:
             evicted, _ = self.entries.popitem(last=False)
-        self.entries[name] = CsEntry(size, now, now)
+        self.entries[name] = CsEntry(size, now)
         return evicted
 
     def remove(self, name: ContentName) -> None:
@@ -108,7 +103,6 @@ class ContentStore:
 class PitEntry:
     name: ContentName
     deadline: float
-    created: float
     incoming: set[RouterId] = field(default_factory=set)
     seen_nonces: set[int] = field(default_factory=set)
     arrival_count: int = 1
@@ -126,10 +120,8 @@ class FibEntry:
     name: ContentName
     providers: list[RouterId]
     last_update: float
-    # Cached min SPT cost over providers, tagged with the SPT generation it
-    # was computed against.
-    _min_cost: float = INF
-    _min_cost_gen: int = -1
+    # The entry's key in the fib-probe order (fib-probe routers only).
+    rank: tuple[float, float, ContentName] | None = None
 
 
 class RouterState:
@@ -153,7 +145,6 @@ class RouterState:
         self.id = rid
         self.cs = cs
         self.spt = spt
-        self.spt_gen = 0
         self.neighbors = sorted(neighbors)
         self.probe_strategy = probe_strategy
         self.forwarding = forwarding
@@ -174,34 +165,63 @@ class RouterState:
         # names evicted from the FIB are skipped lazily.
         self._fib_ring: list[ContentName] = []
         self.seq_cursor = 0
+        # fib-probe only: every FIB entry's rank, (-min provider cost,
+        # last_update, name), kept sorted by the FIB writes.
+        self._fib_order: list[tuple[float, float, ContentName]] | None = (
+            [] if probe_strategy == ProbeStrategy.FIB_MAX_COST else None)
+        # random only: how many FIB names this router holds.
+        self._count_held = probe_strategy == ProbeStrategy.RANDOM
+        self._held_in_fib = 0
         self._nonces = nonces
 
     def replace_spt(self, spt: SPTable, neighbors: list[RouterId]) -> None:
         self.spt = spt
-        self.spt_gen += 1
         self.neighbors = sorted(neighbors)
+        if self._fib_order is not None:
+            for entry in self.fib.values():
+                entry.rank = (-self._min_cost(entry.providers),
+                              entry.last_update, entry.name)
+            self._fib_order = sorted(entry.rank for entry in self.fib.values())
 
     def holds(self, name: ContentName) -> bool:
         return name in self.origin or name in self.cs.entries
 
+    # -- content store membership -------------------------------------------
+    # The content store changes only through these two methods, and never
+    # holds the router's own catalog: a name is cached only when not held.
+
+    def _cache(self, name: ContentName, size: int, now: float) -> None:
+        """Cache `name`, which this router does not hold yet."""
+        evicted = self.cs.insert(name, size, now)
+        if self._count_held:
+            fib = self.fib
+            if name in fib:
+                self._held_in_fib += 1
+            if evicted is not None and evicted in fib:
+                self._held_in_fib -= 1
+
+    def evict_cached(self, name: ContentName) -> None:
+        """Drop `name` from the content store (cache churn)."""
+        if self._count_held and name in self.cs.entries and name in self.fib:
+            self._held_in_fib -= 1
+        self.cs.remove(name)
+
     # -- probe selection ----------------------------------------------------
-
-    def _probe_worthy(self, name: ContentName, sending: ContentName | None) -> bool:
-        """A probe must name content this router neither requests nor holds.
-
-        Probing the interest's own name asks nothing the interest does not
-        already ask, and the true cost of held content is zero.
-        """
-        return name != sending and not self.holds(name)
 
     def select_probe(self, now: float, rng: random.Random,
                      sending: ContentName | None = None) -> ContentName | None:
         """Pick a content name to piggyback on an outgoing interest for `sending`.
 
-        Every strategy passes over `sending` and held content (see
-        `_probe_worthy`). Empty source tables (or the basic-ccn strategy)
-        yield no probe; all tie-breaks are fully ordered so reruns pick
-        identically.
+        A probe names content this router neither sends nor holds: probing
+        the interest's own name asks nothing the interest does not already
+        ask, and the true cost of held content is zero. Empty source tables
+        (or the basic-ccn strategy) yield no probe; all tie-breaks are fully
+        ordered so reruns pick identically.
+
+        Cost per call: fib-probe reads its sorted order from the front,
+        O(held names skipped + 1); random counts its pool in O(N_PIT) and
+        walks at most half the FIB from the nearer end to the drawn index;
+        pit-probe scans the PIT; sequential advances its cursor.
         """
         strategy = self.probe_strategy
         if strategy == ProbeStrategy.NONE:
@@ -218,59 +238,84 @@ class RouterState:
                                  or (entry.deadline == best_deadline and name < best)))):
                     # Checked only for would-be winners: passing over any
                     # other candidate cannot change the pick.
-                    if not self._probe_worthy(name, sending):
+                    if name == sending or self.holds(name):
                         continue
                     best = name
                     best_count = count
                     best_deadline = entry.deadline
             return best
         if strategy == ProbeStrategy.FIB_MAX_COST:
-            best = None
-            best_cost = -1.0
-            best_updated = INF
-            gen = self.spt_gen
-            spt_cost = self.spt.cost
-            for name, entry in self.fib.items():
-                if entry._min_cost_gen != gen:
-                    cost = INF
-                    for rid in entry.providers:
-                        c = spt_cost(rid)
-                        if c is not None and c < cost:
-                            cost = c
-                    entry._min_cost = cost
-                    entry._min_cost_gen = gen
-                else:
-                    cost = entry._min_cost
-                if (cost > best_cost
-                        or (cost == best_cost
-                            and (entry.last_update < best_updated
-                                 or (entry.last_update == best_updated and name < best)))):
-                    if not self._probe_worthy(name, sending):
-                        continue
-                    best = name
-                    best_cost = cost
-                    best_updated = entry.last_update
-            return best
+            cached = self.cs.entries
+            origin = self.origin
+            for _cost, _updated, name in self._fib_order:
+                # Most names passed over are cached, so that test comes first.
+                if name not in cached and name not in origin and name != sending:
+                    return name
+            return None
         if strategy == ProbeStrategy.SEQUENTIAL:
             ring = self._fib_ring
             fib = self.fib
             for _ in range(len(ring)):
                 name = ring[self.seq_cursor % len(ring)]
                 self.seq_cursor = (self.seq_cursor + 1) % len(ring)
-                if name in fib and self._probe_worthy(name, sending):
+                if name in fib and name != sending and not self.holds(name):
                     self._compact_ring()
                     return name
             self._compact_ring()
             return None
         if strategy == ProbeStrategy.RANDOM:
-            pit = self.pit
-            pool = [n for n in pit if self._probe_worthy(n, sending)]
-            pool.extend(n for n in self.fib
-                        if n not in pit and self._probe_worthy(n, sending))
-            if not pool:
-                return None
-            return pool[rng.randrange(len(pool))]
+            return self._random_probe(rng, sending)
         raise ValueError(f"unknown probe strategy {strategy!r}")
+
+    def _random_probe(self, rng: random.Random,
+                      sending: ContentName | None) -> ContentName | None:
+        """A uniform draw from the worthy PIT names, then the worthy FIB
+        names not in the PIT, in that order, without building that pool.
+
+        The FIB part's size is the FIB's size less its held names (a kept
+        count), its pending names and `sending`; one `randrange` over the
+        whole pool picks the index, and the FIB is walked to it from the
+        nearer end.
+        """
+        pit = self.pit
+        fib = self.fib
+        cached = self.cs.entries
+        origin = self.origin
+        from_pit = []
+        excluded = self._held_in_fib
+        for n in pit:
+            if n in cached or n in origin:
+                continue
+            if n in fib:
+                excluded += 1
+            if n != sending:
+                from_pit.append(n)
+        # An interest's own name is pending whenever it is sent, so the PIT
+        # test below passes over `sending` unless it stands apart.
+        sending_apart = sending is not None and sending not in pit
+        if sending_apart and sending in fib and not self.holds(sending):
+            excluded += 1
+        in_fib = len(fib) - excluded
+        size = len(from_pit) + in_fib
+        if size == 0:
+            return None
+        i = rng.randrange(size)
+        if i < len(from_pit):
+            return from_pit[i]
+        i -= len(from_pit)
+        if i < in_fib - 1 - i:
+            names = iter(fib)
+        else:
+            names = reversed(fib)
+            i = in_fib - 1 - i
+        for n in names:
+            if (n not in pit and n not in cached and n not in origin
+                    and not (sending_apart and n == sending)):
+                if i == 0:
+                    return n
+                i -= 1
+        raise RuntimeError(f"router {self.id}: the FIB holds fewer probe "
+                           f"candidates than counted ({in_fib})")
 
     def _compact_ring(self) -> None:
         if len(self._fib_ring) > 4 * max(len(self.fib), 16):
@@ -343,20 +388,32 @@ class RouterState:
         farthest provider by SPT cost is dropped (unreachable counts as
         infinitely far); a brand-new entry may evict the least-recently-used
         FIB entry when the table is full.
+
+        Under fib-probe each write also moves the entry's rank in the sorted
+        probe order: O(log N_FIB) comparisons and a list shift. Under random
+        it keeps the count of held FIB names.
         """
         if self.id in providers:
             providers = [rid for rid in providers if rid != self.id]
             if not providers:
                 return
-        entry = self.fib.get(name)
+        fib = self.fib
+        order = self._fib_order
+        entry = fib.get(name)
         if entry is None:
-            if self.fib_capacity is not None and len(self.fib) >= self.fib_capacity:
-                self.fib.popitem(last=False)
+            if self.fib_capacity is not None and len(fib) >= self.fib_capacity:
+                _, evicted = fib.popitem(last=False)
+                if order is not None:
+                    del order[bisect_left(order, evicted.rank)]
+                if self._count_held and self.holds(evicted.name):
+                    self._held_in_fib -= 1
             entry = FibEntry(name, [], now)
-            self.fib[name] = entry
+            fib[name] = entry
             self._fib_ring.append(name)
+            if self._count_held and self.holds(name):
+                self._held_in_fib += 1
         else:
-            self.fib.move_to_end(name)
+            fib.move_to_end(name)
         known = entry.providers
         for rid in providers:
             if rid not in known:
@@ -373,7 +430,21 @@ class RouterState:
                     worst_i = i
             known.pop(worst_i)
         entry.last_update = now
-        entry._min_cost_gen = -1
+        if order is not None:
+            if entry.rank is not None:
+                del order[bisect_left(order, entry.rank)]
+            entry.rank = (-self._min_cost(known), now, name)
+            insort(order, entry.rank)
+
+    def _min_cost(self, providers: list[RouterId]) -> float:
+        """SPT cost of the nearest provider; unreachable ones count as INF."""
+        cost = INF
+        routes = self.spt.entries
+        for rid in providers:
+            route = routes.get(rid)
+            if route is not None and route.cost < cost:
+                cost = route.cost
+        return cost
 
     # -- packet handlers ------------------------------------------------------
 
@@ -397,7 +468,7 @@ class RouterState:
                 entry.incoming.add(in_iface)
             return [Action(ActionKind.DROP, interest, reason="pit-aggregated")]
 
-        entry = PitEntry(name, deadline=now + self.timeout, created=now,
+        entry = PitEntry(name, deadline=now + self.timeout,
                          seen_nonces={interest.nonce})
         if in_iface == LOCAL:
             entry.local_tokens.append((interest.nonce, now))
@@ -408,10 +479,10 @@ class RouterState:
         probe = interest.probe
         if self.holds(name):
             # Hit: answer from the content store, replicating probe fields.
-            self.cs.touch(name, now)
+            self.cs.touch(name)
             response = list(interest.probe_response)
             if probe is not None and self.holds(probe):
-                self.cs.touch(probe, now)
+                self.cs.touch(probe)
                 if self.id not in response and len(response) < PROBE_RESPONSE_CAPACITY:
                     response.append(self.id)
             data = DataPacket(name, provider_id=self.id,
@@ -424,7 +495,7 @@ class RouterState:
 
         # Miss: record ourselves as a probe provider when it applies.
         if probe is not None and self.holds(probe):
-            self.cs.touch(probe, now)
+            self.cs.touch(probe)
             if (self.id not in interest.probe_response
                     and len(interest.probe_response) < PROBE_RESPONSE_CAPACITY):
                 interest.probe_response.append(self.id)
@@ -459,9 +530,9 @@ class RouterState:
         if entry is None:
             return [Action(ActionKind.DROP, data, reason="unsolicited")]
         if not self.holds(name):
-            self.cs.insert(name, data.payload_size, now)
+            self._cache(name, data.payload_size, now)
         else:
-            self.cs.touch(name, now)
+            self.cs.touch(name)
         self.fib_update(name, [data.provider_id], now)
         actions = []
         if entry.local_tokens:

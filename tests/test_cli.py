@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ccnprobe import cli
 from ccnprobe.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_OK, RUN_HEADER,
                           SWEEP_HEADER, apply_overrides, build_scenario,
                           check_ranges, data_path, main, parse_config,
@@ -347,3 +348,52 @@ class TestLoadChecks:
         path = tmp_path / "c.cfg"
         path.write_text("topology = bad.topo\n")
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+
+
+class TestSweepArguments:
+    def test_unparsable_axis_value_exits_2(self, capsys):
+        assert main(["sweep", "--config", "fig6.cfg", "--values", "abc"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cache_size_ratio" in err and "'abc'" in err
+
+    def test_unparsable_failure_count_exits_2(self, cfg, tmp_path, capsys):
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
+                     "--axis", "failures", "--values", "two"]) == EXIT_CONFIG
+        assert "failures" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2_without_output(self, cfg, tmp_path, jobs):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--jobs", jobs]) == EXIT_CONFIG
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("jobs,cores,workers", [
+        (64, 3, [3]),    # capped by the cores
+        (64, 16, [4]),   # capped by the 4 points
+        (2, 16, [2]),
+        (1, 16, []),     # runs in-process, no pool
+        (64, 1, []),
+    ])
+    def test_pool_is_capped_by_points_and_cores(self, cfg, tmp_path, monkeypatch,
+                                                jobs, cores, workers):
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
+                     "--repeats", "1", "--jobs", str(jobs)]) == EXIT_OK
+        assert seen == workers

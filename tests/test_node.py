@@ -57,7 +57,7 @@ class TestContentStore:
         cs = ContentStore(2, "lru")
         cs.insert(name("P/0"), 1, 0.0)
         cs.insert(name("P/1"), 1, 1.0)
-        cs.touch(name("P/0"), 2.0)
+        cs.touch(name("P/0"))
         evicted = cs.insert(name("P/2"), 1, 3.0)
         assert evicted == name("P/1")
 
@@ -65,7 +65,7 @@ class TestContentStore:
         cs = ContentStore(2, "fifo")
         cs.insert(name("P/0"), 1, 0.0)
         cs.insert(name("P/1"), 1, 1.0)
-        cs.touch(name("P/0"), 2.0)
+        cs.touch(name("P/0"))
         assert cs.insert(name("P/2"), 1, 3.0) == name("P/0")
 
     def test_reinsert_refreshes_without_eviction(self):
@@ -93,14 +93,14 @@ class TestContentStore:
 class TestSelectProbe:
     def test_pit_popular_picks_max_arrival_count(self):
         router = make_router(strategy=ProbeStrategy.PIT_POPULAR)
-        router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, 1.0, arrival_count=3)
-        router.pit[name("Y/0")] = PitEntry(name("Y/0"), 1.2, 0.7, arrival_count=1)
+        router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, arrival_count=3)
+        router.pit[name("Y/0")] = PitEntry(name("Y/0"), 1.2, arrival_count=1)
         assert router.select_probe(2.0, random.Random(0)) == name("X/0")
 
     def test_pit_popular_tie_breaks_on_oldest_deadline(self):
         router = make_router(strategy=ProbeStrategy.PIT_POPULAR)
-        router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, 1.0, arrival_count=2)
-        router.pit[name("Y/0")] = PitEntry(name("Y/0"), 1.2, 0.7, arrival_count=2)
+        router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, arrival_count=2)
+        router.pit[name("Y/0")] = PitEntry(name("Y/0"), 1.2, arrival_count=2)
         assert router.select_probe(2.0, random.Random(0)) == name("Y/0")
 
     def test_empty_pit_yields_no_probe(self):
@@ -143,7 +143,7 @@ class TestSelectProbe:
 
     def test_random_draws_from_pit_and_fib(self):
         router = make_router(strategy=ProbeStrategy.RANDOM)
-        router.pit[name("P/0")] = PitEntry(name("P/0"), 1.0, 0.5)
+        router.pit[name("P/0")] = PitEntry(name("P/0"), 1.0)
         router.fib_update(name("F/0"), [1], 0.0)
         picks = {router.select_probe(1.0, random.Random(seed)) for seed in range(20)}
         assert picks == {name("P/0"), name("F/0")}
@@ -354,7 +354,7 @@ class TestOnInterest:
 
     def test_origin_attaches_probe(self):
         router = make_router(strategy=ProbeStrategy.PIT_POPULAR)
-        router.pit[name("P/0")] = PitEntry(name("P/0"), 1.4, 0.9, arrival_count=4)
+        router.pit[name("P/0")] = PitEntry(name("P/0"), 1.4, arrival_count=4)
         packet = interest("X/0")
         router.on_interest(packet, LOCAL, 1.0, random.Random(0))
         assert packet.probe == name("P/0")
@@ -362,7 +362,7 @@ class TestOnInterest:
 
     def test_relay_does_not_attach_probe(self):
         router = make_router(strategy=ProbeStrategy.PIT_POPULAR)
-        router.pit[name("P/0")] = PitEntry(name("P/0"), 1.4, 0.9, arrival_count=4)
+        router.pit[name("P/0")] = PitEntry(name("P/0"), 1.4, arrival_count=4)
         packet = interest("X/0")
         router.on_interest(packet, 1, 1.0, random.Random(0))
         assert packet.probe is None
@@ -410,7 +410,7 @@ class TestOnInterest:
 class TestOnData:
     def test_probe_response_creates_fib_entry(self):
         router = make_router()
-        router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, 1.0, incoming={1})
+        router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, incoming={1})
         data = DataPacket(name("X/0"), provider_id=4, payload_size=64,
                           probe=name("P/0"), probe_response=[2, 3])
         router.on_data(data, 3, 1.2)
@@ -426,7 +426,7 @@ class TestOnData:
 
     def test_fan_out_covers_incoming_set_and_removes_entry(self):
         router = make_router()
-        entry = PitEntry(name("X/0"), 1.5, 1.0, incoming={1, 2},
+        entry = PitEntry(name("X/0"), 1.5, incoming={1, 2},
                          local_tokens=[(42, 1.0)])
         router.pit[name("X/0")] = entry
         data = DataPacket(name("X/0"), provider_id=4, payload_size=64)
@@ -440,7 +440,7 @@ class TestOnData:
 
     def test_payload_cached_and_provider_recorded(self):
         router = make_router()
-        router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, 1.0, incoming={1})
+        router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, incoming={1})
         data = DataPacket(name("X/0"), provider_id=4, payload_size=64)
         router.on_data(data, 3, 1.2)
         assert name("X/0") in router.cs
@@ -448,7 +448,7 @@ class TestOnData:
 
     def test_probe_response_naming_this_router_is_not_recorded(self):
         router = make_router()
-        router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, 1.0, incoming={1})
+        router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, incoming={1})
         data = DataPacket(name("X/0"), provider_id=4, payload_size=64,
                           probe=name("P/0"), probe_response=[0, 3])
         router.on_data(data, 3, 1.2)
@@ -456,7 +456,7 @@ class TestOnData:
 
     def test_empty_probe_response_does_not_create_entry(self):
         router = make_router()
-        router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, 1.0, incoming={1})
+        router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, incoming={1})
         data = DataPacket(name("X/0"), provider_id=4, payload_size=64,
                           probe=name("P/0"), probe_response=[])
         router.on_data(data, 3, 1.2)
@@ -464,7 +464,7 @@ class TestOnData:
 
     def test_origin_content_not_recached(self):
         router = make_router(origin=frozenset({name("n0/1")}))
-        router.pit[name("n0/1")] = PitEntry(name("n0/1"), 1.5, 1.0, incoming={1})
+        router.pit[name("n0/1")] = PitEntry(name("n0/1"), 1.5, incoming={1})
         data = DataPacket(name("n0/1"), provider_id=4, payload_size=64)
         router.on_data(data, 3, 1.2)
         assert name("n0/1") not in router.cs.entries
@@ -474,7 +474,7 @@ class TestOnTimeout:
     def prepared_router(self, providers):
         router = make_router()
         router.fib_update(name("X/0"), providers, 0.0)
-        entry = PitEntry(name("X/0"), 0.5, 0.0, local_tokens=[(1, 0.0)],
+        entry = PitEntry(name("X/0"), 0.5, local_tokens=[(1, 0.0)],
                          expected_provider=providers[0], seen_nonces={1})
         router.pit[name("X/0")] = entry
         return router, entry
@@ -515,7 +515,7 @@ class TestOnTimeout:
 
     def test_relay_entry_expires_silently(self):
         router = make_router()
-        router.pit[name("X/0")] = PitEntry(name("X/0"), 0.5, 0.0, incoming={1})
+        router.pit[name("X/0")] = PitEntry(name("X/0"), 0.5, incoming={1})
         assert router.on_timeout(name("X/0"), 0.5, random.Random(0)) == []
         assert name("X/0") not in router.pit
 
@@ -529,7 +529,7 @@ class TestOnTimeout:
         # it is the one the retry carries.
         router, entry = self.prepared_router([4, 1])
         router.probe_strategy = ProbeStrategy.PIT_POPULAR
-        router.pit[name("Y/0")] = PitEntry(name("Y/0"), 0.8, 0.3, incoming={2})
+        router.pit[name("Y/0")] = PitEntry(name("Y/0"), 0.8, incoming={2})
         actions = router.on_timeout(name("X/0"), 0.5, random.Random(0))
         assert actions[0].packet.probe == name("Y/0")
 

@@ -1,0 +1,159 @@
+"""Property test: the kept fib-probe order and the counted random draw pick
+exactly what a full scan of the tables picks, with the same RNG draws.
+
+The oracles below are the linear selections the index replaced: a scan of
+every FIB entry's provider costs for fib-probe, and a materialized PIT+FIB
+pool for random. Hypothesis drives one router through random sequences of
+FIB writes (repeated and out-of-order timestamps, unreachable providers,
+the router's own id, capacity evictions), data arrivals that cache and
+evict content, cache churn, PIT writes, provider lookups that reorder the
+FIB, and SPT replacements, and compares the two at every selection.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ccnprobe.engine import inject_cache_churn
+from ccnprobe.model import ContentName, DataPacket
+from ccnprobe.node import ContentStore, PitEntry, ProbeStrategy, RouterState
+from ccnprobe.topology import build_spt, load_topology
+
+INF = float("inf")
+
+# Router 0's views of one 7-router network before and after its links
+# change: a star with tails, a ring, and a split leaving 4-6 unreachable.
+TOPOLOGIES = [load_topology(text) for text in (
+    "node n0\nnode n1\nnode n2\nnode n3\nnode n4\nnode n5\nnode n6\n"
+    "edge n0 n1\nedge n0 n2\nedge n0 n3\nedge n3 n4\nedge n4 n5\nedge n1 n6\n",
+    "node n0\nnode n1\nnode n2\nnode n3\nnode n4\nnode n5\nnode n6\n"
+    "edge n0 n1\nedge n1 n2\nedge n2 n3\nedge n3 n4\nedge n4 n5\nedge n5 n6\n"
+    "edge n6 n0\n",
+    "node n0\nnode n1\nnode n2\nnode n3\nnode n4\nnode n5\nnode n6\n"
+    "edge n0 n1\nedge n1 n2\nedge n0 n3\nedge n4 n5\nedge n5 n6\n",
+)]
+
+NAMES = [ContentName(prefix, seq) for prefix in ("n0", "A", "B") for seq in range(4)]
+ORIGIN = frozenset(NAMES[:2])   # router 0 publishes n0/0 and n0/1
+
+names = st.sampled_from(NAMES)
+times = st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0])
+providers = st.lists(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 99]),
+                     min_size=1, max_size=7)
+seeds = st.integers(0, 2**16)
+operations = st.one_of(
+    st.tuples(st.just("fib"), names, providers, times),
+    st.tuples(st.just("data"), names, st.sampled_from([1, 4, 5, 99]),
+              st.none() | names, providers, times),
+    st.tuples(st.just("churn"), st.sampled_from([0.3, 1.0]), seeds),
+    st.tuples(st.just("pit-add"), names, times),
+    st.tuples(st.just("pit-remove"), names),
+    st.tuples(st.just("lookup"), names),
+    st.tuples(st.just("spt"), st.sampled_from([0, 1, 2])),
+    st.tuples(st.just("select"), st.none() | names, seeds),
+)
+
+
+def scan_fib_probe(router: RouterState, sending) -> ContentName | None:
+    """The full FIB scan: highest nearest-provider cost, then the oldest
+    update, then the smallest name, among names neither sent nor held."""
+    best = None
+    best_cost = -1.0
+    best_updated = INF
+    spt_cost = router.spt.cost
+    for name, entry in router.fib.items():
+        cost = INF
+        for rid in entry.providers:
+            c = spt_cost(rid)
+            if c is not None and c < cost:
+                cost = c
+        if (cost > best_cost
+                or (cost == best_cost
+                    and (entry.last_update < best_updated
+                         or (entry.last_update == best_updated and name < best)))):
+            if name == sending or router.holds(name):
+                continue
+            best = name
+            best_cost = cost
+            best_updated = entry.last_update
+    return best
+
+
+def pool_random(router: RouterState, rng: random.Random, sending) -> ContentName | None:
+    """One draw from the built pool: worthy PIT names, then worthy FIB names
+    not in the PIT."""
+    pit = router.pit
+
+    def worthy(n):
+        return n != sending and not router.holds(n)
+
+    pool = [n for n in pit if worthy(n)]
+    pool.extend(n for n in router.fib if n not in pit and worthy(n))
+    if not pool:
+        return None
+    return pool[rng.randrange(len(pool))]
+
+
+def check_selection(router: RouterState, sending, seed: int) -> None:
+    rng, expected_rng = random.Random(seed), random.Random(seed)
+    picked = router.select_probe(0.0, rng, sending)
+    if router.probe_strategy == ProbeStrategy.FIB_MAX_COST:
+        expected = scan_fib_probe(router, sending)
+    else:
+        expected = pool_random(router, expected_rng, sending)
+    assert picked == expected
+    assert rng.getstate() == expected_rng.getstate()
+
+
+def apply(router: RouterState, op: tuple, clock: itertools.count) -> None:
+    kind = op[0]
+    if kind == "fib":
+        _, name, provider_ids, now = op
+        router.fib_update(name, provider_ids, now)
+    elif kind == "data":
+        _, name, provider, probe, response, now = op
+        if name not in router.pit and not router.holds(name):
+            router.pit[name] = PitEntry(name, now + 0.5, incoming={1})
+        router.on_data(DataPacket(name, provider, probe=probe,
+                                  probe_response=response[:5]), 1, now)
+    elif kind == "churn":
+        _, ratio, seed = op
+        inject_cache_churn([router], ratio, random.Random(seed))
+    elif kind == "pit-add":
+        _, name, now = op
+        router.pit.setdefault(name, PitEntry(name, now + 0.5,
+                                             arrival_count=next(clock)))
+    elif kind == "pit-remove":
+        router.pit.pop(op[1], None)
+    elif kind == "lookup":
+        router.select_best_provider(op[1])
+    elif kind == "spt":
+        graph = TOPOLOGIES[op[1]]
+        router.replace_spt(build_spt(graph, 0), graph.adj[0])
+    else:
+        _, sending, seed = op
+        check_selection(router, sending, seed)
+
+
+@pytest.mark.parametrize("strategy", [ProbeStrategy.FIB_MAX_COST,
+                                      ProbeStrategy.RANDOM])
+@given(ops=st.lists(operations, min_size=20, max_size=80),
+       fib_capacity=st.sampled_from([None, 3, 6]),
+       cs_capacity=st.sampled_from([1, 3]),
+       policy=st.sampled_from(["lru", "fifo"]))
+def test_index_picks_what_the_scan_picks(strategy, ops, fib_capacity,
+                                         cs_capacity, policy):
+    graph = TOPOLOGIES[0]
+    router = RouterState(0, ContentStore(cs_capacity, policy), build_spt(graph, 0),
+                         graph.adj[0], strategy, fib_capacity=fib_capacity,
+                         origin=ORIGIN, nonces=itertools.count(1))
+    clock = itertools.count(1)
+    for op in ops:
+        apply(router, op, clock)
+    for sending in [None, *NAMES]:
+        check_selection(router, sending, 7)
