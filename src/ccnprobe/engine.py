@@ -11,10 +11,9 @@ from dataclasses import dataclass, fields, replace
 from heapq import heappop, heappush
 
 from .metrics import MetricsReport
-from .model import (LOCAL, ContentName, InterestPacket, RouterId,
+from .model import (LOCAL, ContentName, DataPacket, InterestPacket, RouterId,
                     content_catalog, wire_size)
-from .node import (Action, ActionKind, ContentStore, Forwarding, ProbeStrategy,
-                   RouterState)
+from .node import ContentStore, Forwarding, PitEntry, ProbeStrategy, RouterState
 from .topology import Graph, SPTable, apply_failure, build_all_spts, load_topology
 
 # Event kinds; pop order at equal timestamps follows push order via seq.
@@ -216,15 +215,16 @@ class Simulation:
     """A single deterministic run of one scenario.
 
     All randomness flows from one generator seeded with the scenario seed;
-    event ordering is total via (time, push-sequence).
+    event ordering is total via (time, push-sequence). The simulation is
+    the `out` of every router handler call: routers send through its
+    `transmit` and `deliver`.
     """
 
-    def __init__(self, scenario: Scenario, interest_hook=None):
+    def __init__(self, scenario: Scenario):
         scenario.validate()
         self.scenario = scenario
         self.rng = random.Random(scenario.rng_seed)
         self.nonces = itertools.count(1)
-        self.interest_hook = interest_hook
 
         graph = load_topology(scenario.topology)
         if scenario.link_delay is not None or scenario.link_bandwidth is not None:
@@ -331,11 +331,7 @@ class Simulation:
             return
         self.stats.issued_interests += 1
         interest = InterestPacket(name, next(self.nonces), issue_time=now)
-        if self.interest_hook is None:
-            actions = router.on_interest(interest, LOCAL, now, self.rng)
-        else:
-            actions = self._hooked_interest(router, interest, LOCAL, now)
-        self._apply(rid, actions, now)
+        router.on_interest(interest, LOCAL, now, self.rng, self)
         self._arm_timeout(router, rid, name)
 
     def _on_arrival(self, now: float, packet, src: RouterId, dst: RouterId) -> None:
@@ -346,25 +342,11 @@ class Simulation:
         packet.hop_count += 1
         if isinstance(packet, InterestPacket):
             self.stats.received_interests += 1
-            if self.interest_hook is None:
-                actions = router.on_interest(packet, src, now, self.rng)
-            else:
-                actions = self._hooked_interest(router, packet, src, now)
-            self._apply(dst, actions, now)
+            router.on_interest(packet, src, now, self.rng, self)
             self._arm_timeout(router, dst, packet.name)
         else:
             self.stats.received_data += 1
-            actions = router.on_data(packet, src, now)
-            self._apply(dst, actions, now)
-
-    def _hooked_interest(self, router, interest, in_iface, now):
-        entry = router.pit.get(interest.name)
-        had_entry = entry is not None
-        nonce_seen = had_entry and interest.nonce in entry.seen_nonces
-        actions = router.on_interest(interest, in_iface, now, self.rng)
-        self.interest_hook(router.id, interest, in_iface, had_entry,
-                           nonce_seen, actions)
-        return actions
+            router.on_data(packet, src, now, self)
 
     def _on_timeout_event(self, now: float, rid: RouterId, name: ContentName,
                           deadline: float) -> None:
@@ -375,8 +357,8 @@ class Simulation:
         if entry is None or entry.deadline != deadline:
             return
         self.stats.timeout_count += 1
-        actions = router.on_timeout(name, now, self.rng)
-        self._apply(rid, actions, now)
+        if router.on_timeout(name, now, self.rng, self) == "unsatisfied":
+            self.stats.unsatisfied_timeout += len(entry.local_tokens)
         self._arm_timeout(router, rid, name)
 
     def _on_failure(self, count: int) -> None:
@@ -390,35 +372,15 @@ class Simulation:
         for rid, router in self.routers.items():
             router.replace_spt(spts[rid], self.graph.adj[rid])
 
-    # -- action execution -----------------------------------------------------
+    # -- router output ----------------------------------------------------------
 
-    def _apply(self, rid: RouterId, actions: list[Action], now: float) -> None:
-        stats = self.stats
-        for act in actions:
-            kind = act.kind
-            if kind is ActionKind.FORWARD_INTEREST:
-                stats.sent_interests += 1
-                stats.forwarded_interests += 1
-                self._transmit(rid, act.out_iface, act.packet, now)
-            elif kind is ActionKind.FORWARD_DATA:
-                stats.sent_data += 1
-                self._transmit(rid, act.out_iface, act.packet, now)
-            elif kind is ActionKind.DELIVER_LOCAL:
-                entry = act.entry
-                data = act.packet
-                stats.delivered_data += 1
-                stats.hop_count_sum += data.hop_count
-                for _token, t0 in entry.local_tokens:
-                    stats.satisfied_count += 1
-                    stats.add_response(now - t0)
-                if entry.expected_provider is not None:
-                    stats.expected_provider_total += 1
-                    if entry.expected_provider == data.provider_id:
-                        stats.expected_provider_hits += 1
-            elif act.reason == "unsatisfied":
-                stats.unsatisfied_timeout += len(act.entry.local_tokens)
-
-    def _transmit(self, src: RouterId, dst: RouterId, packet, now: float) -> None:
+    def transmit(self, src: RouterId, dst: RouterId,
+                 packet: InterestPacket | DataPacket, now: float) -> None:
+        """Send `packet` from router `src` to its neighbor `dst`."""
+        if isinstance(packet, InterestPacket):
+            self.stats.sent_interests += 1
+        else:
+            self.stats.sent_data += 1
         link = self.links.get((src, dst))
         if link is None:
             return  # interface severed by a failure: sent but lost
@@ -426,6 +388,19 @@ class Simulation:
         if arrival is None:
             return  # drop-tail loss: sent but never received
         self._push(arrival, EV_ARRIVAL, packet.clone(), src, dst)
+
+    def deliver(self, entry: PitEntry, data: DataPacket, now: float) -> None:
+        """Hand `data` to the local requests waiting in `entry`."""
+        stats = self.stats
+        stats.delivered_data += 1
+        stats.hop_count_sum += data.hop_count
+        for _token, t0 in entry.local_tokens:
+            stats.satisfied_count += 1
+            stats.add_response(now - t0)
+        if entry.expected_provider is not None:
+            stats.expected_provider_total += 1
+            if entry.expected_provider == data.provider_id:
+                stats.expected_provider_hits += 1
 
     def _arm_timeout(self, router: RouterState, rid: RouterId,
                      name: ContentName) -> None:

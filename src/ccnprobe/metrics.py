@@ -75,7 +75,6 @@ class MetricsReport:
 
     duration: float = 0.0
     issued_interests: int = 0
-    forwarded_interests: int = 0     # router-to-router interest transmissions
     timeout_count: int = 0           # PIT entries that missed a deadline
     satisfied_count: int = 0
     unsatisfied_timeout: int = 0     # given up after retries
@@ -101,6 +100,11 @@ class MetricsReport:
     hop_count_mean: float = 0.0
     provider_accuracy_pct: float = 0.0
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def forwarded_interests(self) -> int:
+        """Router-to-router interest transmissions."""
+        return self.sent_interests
 
     @property
     def unsatisfied_count(self) -> int:

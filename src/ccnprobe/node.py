@@ -29,24 +29,6 @@ class Forwarding(str, Enum):
     BROADCAST = "broadcast"
 
 
-class ActionKind(Enum):
-    FORWARD_INTEREST = 1
-    FORWARD_DATA = 2
-    DELIVER_LOCAL = 3
-    DROP = 4
-
-
-@dataclass(slots=True)
-class Action:
-    """One step a handler asks the engine to perform."""
-
-    kind: ActionKind
-    packet: InterestPacket | DataPacket
-    out_iface: RouterId = LOCAL
-    reason: str = ""
-    entry: "PitEntry | None" = None
-
-
 @dataclass(slots=True)
 class CsEntry:
     size: int
@@ -128,7 +110,10 @@ class RouterState:
     """One router's tables plus the packet-processing procedures.
 
     Single-owner mutable state: the engine delivers events to one router at
-    a time, so handlers never run re-entrantly.
+    a time, so handlers never run re-entrantly. The packet handlers send
+    through the `out` they are given, `out.transmit(src, iface, packet,
+    now)` and `out.deliver(entry, data, now)`, and return the drop reason
+    or None. The router never keeps `out`.
     """
 
     def __init__(self, rid: RouterId, cs: ContentStore, spt: SPTable,
@@ -161,9 +146,10 @@ class RouterState:
         self.producer_routes = producer_routes or {}
         self.pit: dict[ContentName, PitEntry] = {}
         self.fib: OrderedDict[ContentName, FibEntry] = OrderedDict()
-        # Insertion-ordered name ring for the sequential probe cursor;
+        # sequential only: insertion-ordered name ring for the probe cursor;
         # names evicted from the FIB are skipped lazily.
-        self._fib_ring: list[ContentName] = []
+        self._fib_ring: list[ContentName] | None = (
+            [] if probe_strategy == ProbeStrategy.SEQUENTIAL else None)
         self.seq_cursor = 0
         # fib-probe only: every FIB entry's rank, (-min provider cost,
         # last_update, name), kept sorted by the FIB writes.
@@ -363,11 +349,18 @@ class RouterState:
             return None
         return best_rid, spt.first_hop(best_rid)
 
-    def _producer_route(self, name: ContentName,
-                        excluded: set[RouterId],
-                        avoid_iface: RouterId | None,
-                        ) -> tuple[RouterId, RouterId] | None:
-        """Static fallback route toward the name's producer, if known."""
+    def _route(self, entry: PitEntry, now: float,
+               avoid_iface: RouterId | None) -> tuple[RouterId, RouterId] | None:
+        """Provider and first hop for a best-route send of `entry`'s name.
+
+        The cheapest untried FIB provider wins; on a miss, the static route
+        toward the name's producer, if known and untried.
+        """
+        name = entry.name
+        excluded = entry.tried_providers
+        best = self.select_best_provider(name, excluded, now, avoid_iface)
+        if best is not None:
+            return best
         rid = self.producer_routes.get(name.prefix)
         if rid is None or rid == self.id or rid in excluded:
             return None
@@ -409,7 +402,8 @@ class RouterState:
                     self._held_in_fib -= 1
             entry = FibEntry(name, [], now)
             fib[name] = entry
-            self._fib_ring.append(name)
+            if self._fib_ring is not None:
+                self._fib_ring.append(name)
             if self._count_held and self.holds(name):
                 self._held_in_fib += 1
         else:
@@ -449,24 +443,26 @@ class RouterState:
     # -- packet handlers ------------------------------------------------------
 
     def on_interest(self, interest: InterestPacket, in_iface: RouterId,
-                    now: float, rng: random.Random) -> list[Action]:
+                    now: float, rng: random.Random, out) -> str | None:
         """Process one arriving interest (Initial / Miss / Hit roles).
 
         Order: PIT aggregation and duplicate-nonce suppression first, then
         the content-store check, probe handling, and output selection.
+        Returns the drop reason, or None when the interest was answered or
+        sent on.
         """
         name = interest.name
         entry = self.pit.get(name)
         if entry is not None:
             if interest.nonce in entry.seen_nonces:
-                return [Action(ActionKind.DROP, interest, reason="duplicate-nonce")]
+                return "duplicate-nonce"
             entry.seen_nonces.add(interest.nonce)
             entry.arrival_count += 1
             if in_iface == LOCAL:
                 entry.local_tokens.append((interest.nonce, now))
             else:
                 entry.incoming.add(in_iface)
-            return [Action(ActionKind.DROP, interest, reason="pit-aggregated")]
+            return "pit-aggregated"
 
         entry = PitEntry(name, deadline=now + self.timeout,
                          seen_nonces={interest.nonce})
@@ -490,8 +486,10 @@ class RouterState:
                               probe=probe, probe_response=response)
             del self.pit[name]
             if in_iface == LOCAL:
-                return [Action(ActionKind.DELIVER_LOCAL, data, LOCAL, entry=entry)]
-            return [Action(ActionKind.FORWARD_DATA, data, in_iface)]
+                out.deliver(entry, data, now)
+            else:
+                out.transmit(self.id, in_iface, data, now)
+            return None
 
         # Miss: record ourselves as a probe provider when it applies.
         if probe is not None and self.holds(probe):
@@ -506,53 +504,56 @@ class RouterState:
                 interest.probe_response = []
 
         if self.forwarding == Forwarding.BEST_ROUTE:
-            best = self.select_best_provider(name, entry.tried_providers, now,
-                                             avoid_iface=in_iface)
-            if best is None:
-                best = self._producer_route(name, entry.tried_providers, in_iface)
+            best = self._route(entry, now, in_iface)
             if best is not None:
                 provider, iface = best
                 if in_iface == LOCAL:
                     entry.expected_provider = provider
-                return [Action(ActionKind.FORWARD_INTEREST, interest, iface)]
+                out.transmit(self.id, iface, interest, now)
+                return None
         outs = [nb for nb in self.neighbors if nb != in_iface]
         if not outs:
-            return [Action(ActionKind.DROP, interest, reason="no-route")]
-        return [Action(ActionKind.FORWARD_INTEREST, interest, nb) for nb in outs]
+            return "no-route"
+        for nb in outs:
+            out.transmit(self.id, nb, interest, now)
+        return None
 
-    def on_data(self, data: DataPacket, in_iface: RouterId,
-                now: float) -> list[Action]:
-        """Process one arriving data packet: refresh FIBs, cache, fan out."""
+    def on_data(self, data: DataPacket, in_iface: RouterId, now: float,
+                out) -> str | None:
+        """Process one arriving data packet: refresh FIBs, cache, fan out.
+
+        Returns "unsolicited" when no entry is pending for it, else None.
+        """
         if data.probe is not None and data.probe_response:
             self.fib_update(data.probe, data.probe_response, now)
         name = data.name
         entry = self.pit.pop(name, None)
         if entry is None:
-            return [Action(ActionKind.DROP, data, reason="unsolicited")]
+            return "unsolicited"
         if not self.holds(name):
             self._cache(name, data.payload_size, now)
         else:
             self.cs.touch(name)
         self.fib_update(name, [data.provider_id], now)
-        actions = []
         if entry.local_tokens:
-            actions.append(Action(ActionKind.DELIVER_LOCAL, data, LOCAL, entry=entry))
+            out.deliver(entry, data, now)
         for iface in sorted(entry.incoming):
-            actions.append(Action(ActionKind.FORWARD_DATA, data, iface))
-        return actions
+            out.transmit(self.id, iface, data, now)
+        return None
 
-    def on_timeout(self, name: ContentName, now: float,
-                   rng: random.Random) -> list[Action]:
+    def on_timeout(self, name: ContentName, now: float, rng: random.Random,
+                   out) -> str | None:
         """Handle a PIT entry whose deadline passed.
 
         The origin router excludes the provider that failed to answer and
         re-sends toward the next-best one, falling back to one broadcast
-        before giving the interest up; relay entries just expire.
+        before giving the interest up ("unsatisfied"); relay entries just
+        expire.
         """
         entry = self.pit[name]
         if not entry.local_tokens:
             del self.pit[name]
-            return []
+            return None
         if entry.expected_provider is not None:
             entry.tried_providers.add(entry.expected_provider)
             entry.expected_provider = None
@@ -564,18 +565,18 @@ class RouterState:
             if attached is not None:
                 interest.probe = attached
         if self.forwarding == Forwarding.BEST_ROUTE:
-            best = self.select_best_provider(name, entry.tried_providers, now)
-            if best is None:
-                best = self._producer_route(name, entry.tried_providers, None)
+            best = self._route(entry, now, None)
             if best is not None:
                 provider, iface = best
                 entry.deadline = now + self.timeout
                 entry.expected_provider = provider
-                return [Action(ActionKind.FORWARD_INTEREST, interest, iface)]
+                out.transmit(self.id, iface, interest, now)
+                return None
         if not entry.broadcast_retry_used and self.neighbors:
             entry.broadcast_retry_used = True
             entry.deadline = now + self.timeout
-            return [Action(ActionKind.FORWARD_INTEREST, interest, nb)
-                    for nb in self.neighbors]
+            for nb in self.neighbors:
+                out.transmit(self.id, nb, interest, now)
+            return None
         del self.pit[name]
-        return [Action(ActionKind.DROP, interest, reason="unsatisfied", entry=entry)]
+        return "unsatisfied"

@@ -18,7 +18,7 @@ from ccnprobe.cli import build_scenario, data_path, main, parse_config
 from ccnprobe.engine import Scenario, Simulation, run, scenario_variant
 from ccnprobe.metrics import AccountingError, MetricsReport, classify_qos
 from ccnprobe.model import ContentName, DataPacket, InterestPacket, wire_size
-from ccnprobe.node import ActionKind
+from ccnprobe.node import RouterState
 from ccnprobe.topology import Graph, build_all_spts, load_topology
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -121,20 +121,43 @@ def test_criterion_02_spt_oracle_equivalence():
 
 # -- criterion 3 --------------------------------------------------------------
 
-def test_criterion_03_pit_aggregation_property():
+class RecordingOut:
+    """Passes a handler's sends on to the simulation and keeps a copy."""
+
+    def __init__(self, out):
+        self.out = out
+        self.calls = []
+
+    def transmit(self, src, iface, packet, now):
+        self.calls.append(packet)
+        self.out.transmit(src, iface, packet, now)
+
+    def deliver(self, entry, data, now):
+        self.calls.append(data)
+        self.out.deliver(entry, data, now)
+
+
+def test_criterion_03_pit_aggregation_property(monkeypatch):
     started = time.perf_counter()
     failures = []
     issued = 0
+    on_interest = RouterState.on_interest
 
-    def hook(rid, interest, in_iface, had_entry, nonce_seen, actions):
-        forwards = [a for a in actions if a.kind is ActionKind.FORWARD_INTEREST]
+    def observed(router, interest, in_iface, now, rng, out):
+        entry = router.pit.get(interest.name)
+        had_entry = entry is not None
+        nonce_seen = had_entry and interest.nonce in entry.seen_nonces
+        recording = RecordingOut(out)
+        reason = on_interest(router, interest, in_iface, now, rng, recording)
+        rid = router.id
+        forwards = [p for p in recording.calls if isinstance(p, InterestPacket)]
         if had_entry and forwards:
             failures.append(
                 f"router {rid} re-forwarded {interest.name} while pending")
         if nonce_seen:
-            if len(actions) != 1 or actions[0].kind is not ActionKind.DROP \
-                    or actions[0].reason != "duplicate-nonce":
+            if recording.calls or reason != "duplicate-nonce":
                 failures.append(f"duplicate nonce not dropped at router {rid}")
+        return reason
 
     # 10^4 interests: 12 consumers x 2/s x 420 s = 10080
     scenario = Scenario(topology=str(data_path("abilene.topo")),
@@ -142,8 +165,8 @@ def test_criterion_03_pit_aggregation_property():
                         cache_size_ratio=0.05, probe_strategy="fib-probe",
                         link_delay=0.01, link_bandwidth="unlimited",
                         fib_capacity=256, fib_entry_ttl=25.0, rng_seed=11)
-    sim = Simulation(scenario, interest_hook=hook)
-    report = sim.run()
+    monkeypatch.setattr(RouterState, "on_interest", observed)
+    report = Simulation(scenario).run()
     issued = report.issued_interests
     if issued < 10_000:
         failures.append(f"trace too small: {issued} interests")

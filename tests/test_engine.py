@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -288,15 +290,34 @@ class TestRun:
         assert all(s == pytest.approx(0.06) for s in remote)
         assert report.hop_count_sum == 3 * len(remote)
 
-    def test_event_times_never_decrease(self):
+    def test_event_times_never_decrease(self, monkeypatch):
         seen = []
+        on_interest = RouterState.on_interest
 
-        def hook(rid, interest, in_iface, had_entry, nonce_seen, actions):
-            seen.append(interest.issue_time)
+        def recording(router, interest, in_iface, now, rng, out):
+            seen.append(now)
+            return on_interest(router, interest, in_iface, now, rng, out)
 
-        sim = Simulation(abilene_scenario(sim_duration=30.0), interest_hook=hook)
-        sim.run()
-        assert seen  # hook fired
+        monkeypatch.setattr(RouterState, "on_interest", recording)
+        Simulation(abilene_scenario(sim_duration=30.0)).run()
+        assert len(seen) > 12 * 30  # issues and relayed arrivals
+        assert all(a <= b for a, b in zip(seen, seen[1:]))
+
+    def test_finished_simulation_is_freed_by_reference_counting(self):
+        # Routers get the simulation per call and never keep it, so no
+        # reference cycle keeps a finished run's tables alive until the
+        # cycle collector runs.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = Simulation(abilene_scenario(sim_duration=10.0))
+            sim.run()
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_producer_routing_unicasts_without_fib(self):
         sc = Scenario(topology=LINE_TOPO, sim_duration=1.0,

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from ccnprobe.model import LOCAL, ContentName, DataPacket, InterestPacket
-from ccnprobe.node import (Action, ActionKind, ContentStore, Forwarding,
-                           PitEntry, ProbeStrategy, RouterState)
+from ccnprobe.node import (ContentStore, Forwarding, PitEntry, ProbeStrategy,
+                           RouterState)
 from ccnprobe.topology import build_spt, load_topology
 
 # Star around router 0 with a two-hop tail: 0-1, 0-2, 0-3, 3-4.
@@ -42,6 +42,33 @@ def make_router(rid=0, topo=STAR_TAIL, strategy=ProbeStrategy.NONE,
 def interest(text, nonce=1, probe=None, response=()):
     return InterestPacket(name(text), nonce, probe=probe,
                           probe_response=list(response))
+
+
+class Recorder:
+    """A handler's `out`: records every transmit and local delivery in order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def transmit(self, src, iface, packet, now):
+        self.calls.append(("transmit", src, iface, packet, now))
+
+    def deliver(self, entry, data, now):
+        self.calls.append(("deliver", entry, data, now))
+
+    @property
+    def sends(self):
+        """(interface, packet) of each transmit."""
+        return [(c[2], c[3]) for c in self.calls if c[0] == "transmit"]
+
+    @property
+    def ifaces(self):
+        return [iface for iface, _packet in self.sends]
+
+    @property
+    def forwards(self):
+        """The interests transmitted."""
+        return [p for _iface, p in self.sends if isinstance(p, InterestPacket)]
 
 
 class TestContentStore:
@@ -168,7 +195,7 @@ class TestSelectProbe:
         for seed in range(10):
             router.pit.clear()
             packet = interest("X/0", nonce=seed)
-            router.on_interest(packet, LOCAL, 1.0, random.Random(seed))
+            router.on_interest(packet, LOCAL, 1.0, random.Random(seed), Recorder())
             assert packet.probe is None  # its own entry is the only candidate
 
     @pytest.mark.parametrize("strategy", [ProbeStrategy.FIB_MAX_COST,
@@ -293,11 +320,11 @@ class TestOnInterest:
     def test_hit_role_returns_data_with_replicated_probe_fields(self):
         router = make_router(origin=frozenset({name("n0/1"), name("n0/7")}))
         packet = interest("n0/1", probe=name("n0/7"), response=[2])
-        actions = router.on_interest(packet, 1, 1.0, random.Random(0))
-        assert len(actions) == 1
-        act = actions[0]
-        assert act.kind is ActionKind.FORWARD_DATA and act.out_iface == 1
-        data = act.packet
+        out = Recorder()
+        assert router.on_interest(packet, 1, 1.0, random.Random(0), out) is None
+        assert len(out.calls) == 1
+        kind, src, iface, data, _now = out.calls[0]
+        assert kind == "transmit" and src == 0 and iface == 1
         assert isinstance(data, DataPacket)
         assert data.provider_id == 0
         assert data.probe == name("n0/7")
@@ -306,16 +333,22 @@ class TestOnInterest:
 
     def test_local_hit_delivers_locally(self):
         router = make_router(origin=frozenset({name("n0/1")}))
-        actions = router.on_interest(interest("n0/1"), LOCAL, 1.0, random.Random(0))
-        assert actions[0].kind is ActionKind.DELIVER_LOCAL
-        assert actions[0].entry.local_tokens == [(1, 1.0)]
+        out = Recorder()
+        assert router.on_interest(interest("n0/1"), LOCAL, 1.0, random.Random(0),
+                                  out) is None
+        assert [c[0] for c in out.calls] == ["deliver"]
+        _kind, entry, data, now = out.calls[0]
+        assert entry.local_tokens == [(1, 1.0)]
+        assert isinstance(data, DataPacket) and now == 1.0
 
     def test_pending_name_aggregates_and_drops(self):
         router = make_router()
-        router.on_interest(interest("X/0", nonce=1), 1, 1.0, random.Random(0))
-        actions = router.on_interest(interest("X/0", nonce=2), 2, 1.1, random.Random(0))
-        assert [a.kind for a in actions] == [ActionKind.DROP]
-        assert actions[0].reason == "pit-aggregated"
+        router.on_interest(interest("X/0", nonce=1), 1, 1.0, random.Random(0),
+                           Recorder())
+        out = Recorder()
+        reason = router.on_interest(interest("X/0", nonce=2), 2, 1.1,
+                                    random.Random(0), out)
+        assert reason == "pit-aggregated" and out.calls == []
         entry = router.pit[name("X/0")]
         assert entry.incoming == {1, 2}
         assert entry.arrival_count == 2
@@ -323,40 +356,47 @@ class TestOnInterest:
 
     def test_duplicate_nonce_dropped_without_merge(self):
         router = make_router()
-        router.on_interest(interest("X/0", nonce=1), 1, 1.0, random.Random(0))
-        actions = router.on_interest(interest("X/0", nonce=1), 2, 1.1, random.Random(0))
-        assert actions[0].reason == "duplicate-nonce"
+        router.on_interest(interest("X/0", nonce=1), 1, 1.0, random.Random(0),
+                           Recorder())
+        out = Recorder()
+        reason = router.on_interest(interest("X/0", nonce=1), 2, 1.1,
+                                    random.Random(0), out)
+        assert reason == "duplicate-nonce" and out.calls == []
         assert router.pit[name("X/0")].incoming == {1}
 
     def test_miss_with_fib_miss_broadcasts_except_incoming(self):
         router = make_router()
-        actions = router.on_interest(interest("X/0"), 1, 1.0, random.Random(0))
-        assert [a.kind for a in actions] == [ActionKind.FORWARD_INTEREST] * 2
-        assert [a.out_iface for a in actions] == [2, 3]
+        out = Recorder()
+        assert router.on_interest(interest("X/0"), 1, 1.0, random.Random(0), out) is None
+        assert [c[0] for c in out.calls] == ["transmit"] * 2
+        assert len(out.forwards) == 2
+        assert out.ifaces == [2, 3]
 
     def test_local_origin_broadcasts_to_all_neighbors(self):
         router = make_router()
-        actions = router.on_interest(interest("X/0"), LOCAL, 1.0, random.Random(0))
-        assert [a.out_iface for a in actions] == [1, 2, 3]
+        out = Recorder()
+        router.on_interest(interest("X/0"), LOCAL, 1.0, random.Random(0), out)
+        assert out.ifaces == [1, 2, 3]
 
     def test_best_route_unicast_records_expected_provider_at_origin(self):
         router = make_router()
         router.fib_update(name("X/0"), [4], 0.0)
-        actions = router.on_interest(interest("X/0"), LOCAL, 1.0, random.Random(0))
-        assert [a.out_iface for a in actions] == [3]
+        out = Recorder()
+        router.on_interest(interest("X/0"), LOCAL, 1.0, random.Random(0), out)
+        assert out.ifaces == [3]
         assert router.pit[name("X/0")].expected_provider == 4
 
     def test_relay_does_not_record_expected_provider(self):
         router = make_router()
         router.fib_update(name("X/0"), [4], 0.0)
-        router.on_interest(interest("X/0"), 1, 1.0, random.Random(0))
+        router.on_interest(interest("X/0"), 1, 1.0, random.Random(0), Recorder())
         assert router.pit[name("X/0")].expected_provider is None
 
     def test_origin_attaches_probe(self):
         router = make_router(strategy=ProbeStrategy.PIT_POPULAR)
         router.pit[name("P/0")] = PitEntry(name("P/0"), 1.4, arrival_count=4)
         packet = interest("X/0")
-        router.on_interest(packet, LOCAL, 1.0, random.Random(0))
+        router.on_interest(packet, LOCAL, 1.0, random.Random(0), Recorder())
         assert packet.probe == name("P/0")
         assert packet.probe_response == []
 
@@ -364,46 +404,48 @@ class TestOnInterest:
         router = make_router(strategy=ProbeStrategy.PIT_POPULAR)
         router.pit[name("P/0")] = PitEntry(name("P/0"), 1.4, arrival_count=4)
         packet = interest("X/0")
-        router.on_interest(packet, 1, 1.0, random.Random(0))
+        router.on_interest(packet, 1, 1.0, random.Random(0), Recorder())
         assert packet.probe is None
 
     def test_relay_appends_id_when_it_holds_probe_content(self):
         router = make_router()
         router.cs.insert(name("Q/0"), 1, 0.5)
         packet = interest("X/0", probe=name("Q/0"), response=[7])
-        router.on_interest(packet, 1, 1.0, random.Random(0))
+        router.on_interest(packet, 1, 1.0, random.Random(0), Recorder())
         assert packet.probe_response == [7, 0]
 
     def test_probe_response_capacity_is_first_come(self):
         router = make_router()
         router.cs.insert(name("Q/0"), 1, 0.5)
         packet = interest("X/0", probe=name("Q/0"), response=[5, 6, 7, 8, 9])
-        router.on_interest(packet, 1, 1.0, random.Random(0))
+        router.on_interest(packet, 1, 1.0, random.Random(0), Recorder())
         assert packet.probe_response == [5, 6, 7, 8, 9]  # full: no displacement
 
     def test_probe_response_never_duplicates_ids(self):
         router = make_router()
         router.cs.insert(name("Q/0"), 1, 0.5)
         packet = interest("X/0", probe=name("Q/0"), response=[0])
-        router.on_interest(packet, 1, 1.0, random.Random(0))
+        router.on_interest(packet, 1, 1.0, random.Random(0), Recorder())
         assert packet.probe_response == [0]
 
     def test_isolated_router_drops_with_no_route(self):
         router = make_router(topo="node n0\nnode n1\nedge n0 n1\n")
-        actions = router.on_interest(interest("X/0"), 1, 1.0, random.Random(0))
-        assert actions[0].kind is ActionKind.DROP
-        assert actions[0].reason == "no-route"
+        out = Recorder()
+        reason = router.on_interest(interest("X/0"), 1, 1.0, random.Random(0), out)
+        assert reason == "no-route" and out.calls == []
 
     def test_broadcast_forwarding_ignores_fib(self):
         router = make_router(forwarding=Forwarding.BROADCAST)
         router.fib_update(name("X/0"), [1], 0.0)
-        actions = router.on_interest(interest("X/0"), 2, 1.0, random.Random(0))
-        assert [a.out_iface for a in actions] == [1, 3]
+        out = Recorder()
+        router.on_interest(interest("X/0"), 2, 1.0, random.Random(0), out)
+        assert out.ifaces == [1, 3]
 
     def test_producer_route_used_on_fib_miss(self):
         router = make_router(producer_routes={"n4": 4})
-        actions = router.on_interest(interest("n4/3"), LOCAL, 1.0, random.Random(0))
-        assert [a.out_iface for a in actions] == [3]
+        out = Recorder()
+        router.on_interest(interest("n4/3"), LOCAL, 1.0, random.Random(0), out)
+        assert out.ifaces == [3]
         assert router.pit[name("n4/3")].expected_provider == 4
 
 
@@ -413,15 +455,15 @@ class TestOnData:
         router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, incoming={1})
         data = DataPacket(name("X/0"), provider_id=4, payload_size=64,
                           probe=name("P/0"), probe_response=[2, 3])
-        router.on_data(data, 3, 1.2)
+        router.on_data(data, 3, 1.2, Recorder())
         assert router.fib[name("P/0")].providers == [2, 3]
 
     def test_unsolicited_data_dropped(self):
         router = make_router()
         data = DataPacket(name("X/0"), provider_id=4)
-        actions = router.on_data(data, 3, 1.2)
-        assert [a.kind for a in actions] == [ActionKind.DROP]
-        assert actions[0].reason == "unsolicited"
+        out = Recorder()
+        assert router.on_data(data, 3, 1.2, out) == "unsolicited"
+        assert out.calls == []
         assert name("X/0") not in router.cs
 
     def test_fan_out_covers_incoming_set_and_removes_entry(self):
@@ -430,19 +472,18 @@ class TestOnData:
                          local_tokens=[(42, 1.0)])
         router.pit[name("X/0")] = entry
         data = DataPacket(name("X/0"), provider_id=4, payload_size=64)
-        actions = router.on_data(data, 3, 1.2)
-        kinds = [a.kind for a in actions]
-        assert kinds == [ActionKind.DELIVER_LOCAL, ActionKind.FORWARD_DATA,
-                         ActionKind.FORWARD_DATA]
-        assert [a.out_iface for a in actions[1:]] == [1, 2]
-        assert actions[0].entry is entry
+        out = Recorder()
+        assert router.on_data(data, 3, 1.2, out) is None
+        assert [c[0] for c in out.calls] == ["deliver", "transmit", "transmit"]
+        assert out.sends == [(1, data), (2, data)]
+        assert out.calls[0][1] is entry
         assert name("X/0") not in router.pit
 
     def test_payload_cached_and_provider_recorded(self):
         router = make_router()
         router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, incoming={1})
         data = DataPacket(name("X/0"), provider_id=4, payload_size=64)
-        router.on_data(data, 3, 1.2)
+        router.on_data(data, 3, 1.2, Recorder())
         assert name("X/0") in router.cs
         assert router.fib[name("X/0")].providers == [4]
 
@@ -451,7 +492,7 @@ class TestOnData:
         router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, incoming={1})
         data = DataPacket(name("X/0"), provider_id=4, payload_size=64,
                           probe=name("P/0"), probe_response=[0, 3])
-        router.on_data(data, 3, 1.2)
+        router.on_data(data, 3, 1.2, Recorder())
         assert router.fib[name("P/0")].providers == [3]
 
     def test_empty_probe_response_does_not_create_entry(self):
@@ -459,14 +500,14 @@ class TestOnData:
         router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, incoming={1})
         data = DataPacket(name("X/0"), provider_id=4, payload_size=64,
                           probe=name("P/0"), probe_response=[])
-        router.on_data(data, 3, 1.2)
+        router.on_data(data, 3, 1.2, Recorder())
         assert name("P/0") not in router.fib
 
     def test_origin_content_not_recached(self):
         router = make_router(origin=frozenset({name("n0/1")}))
         router.pit[name("n0/1")] = PitEntry(name("n0/1"), 1.5, incoming={1})
         data = DataPacket(name("n0/1"), provider_id=4, payload_size=64)
-        router.on_data(data, 3, 1.2)
+        router.on_data(data, 3, 1.2, Recorder())
         assert name("n0/1") not in router.cs.entries
 
 
@@ -482,56 +523,65 @@ class TestOnTimeout:
     def test_retransmits_toward_next_provider(self):
         # expected 4 timed out; 1 remains
         router, entry = self.prepared_router([4, 1])
-        actions = router.on_timeout(name("X/0"), 0.5, random.Random(0))
-        assert [a.kind for a in actions] == [ActionKind.FORWARD_INTEREST]
-        assert actions[0].out_iface == 1
+        out = Recorder()
+        assert router.on_timeout(name("X/0"), 0.5, random.Random(0), out) is None
+        assert len(out.calls) == 1 and len(out.forwards) == 1
+        [(iface, packet)] = out.sends
+        assert iface == 1
         assert entry.expected_provider == 1
         assert 4 in entry.tried_providers
         assert entry.deadline == 1.0
-        assert actions[0].packet.nonce in entry.seen_nonces
-        assert actions[0].packet.nonce != 1
+        assert packet.nonce in entry.seen_nonces
+        assert packet.nonce != 1
 
     def test_exhausted_providers_fall_back_to_single_broadcast(self):
         router, entry = self.prepared_router([4])
-        actions = router.on_timeout(name("X/0"), 0.5, random.Random(0))
-        assert [a.out_iface for a in actions] == [1, 2, 3]
+        out = Recorder()
+        router.on_timeout(name("X/0"), 0.5, random.Random(0), out)
+        assert out.ifaces == [1, 2, 3]
         assert entry.broadcast_retry_used
 
     def test_second_exhaustion_gives_up_unsatisfied(self):
         router, entry = self.prepared_router([4])
-        router.on_timeout(name("X/0"), 0.5, random.Random(0))
-        actions = router.on_timeout(name("X/0"), 1.0, random.Random(0))
-        assert [a.kind for a in actions] == [ActionKind.DROP]
-        assert actions[0].reason == "unsatisfied"
-        assert actions[0].entry is entry
+        router.on_timeout(name("X/0"), 0.5, random.Random(0), Recorder())
+        out = Recorder()
+        reason = router.on_timeout(name("X/0"), 1.0, random.Random(0), out)
+        assert reason == "unsatisfied" and out.calls == []
+        # The engine counts the given-up requests from the entry it holds.
+        assert entry.local_tokens == [(1, 0.0)]
         assert name("X/0") not in router.pit
 
     def test_new_provider_learned_after_broadcast_still_used(self):
         router, entry = self.prepared_router([4])
-        router.on_timeout(name("X/0"), 0.5, random.Random(0))  # broadcast retry
+        router.on_timeout(name("X/0"), 0.5, random.Random(0), Recorder())  # broadcast
         router.fib_update(name("X/0"), [1], 0.8)
-        actions = router.on_timeout(name("X/0"), 1.0, random.Random(0))
-        assert [a.out_iface for a in actions] == [1]
+        out = Recorder()
+        router.on_timeout(name("X/0"), 1.0, random.Random(0), out)
+        assert out.ifaces == [1]
 
     def test_relay_entry_expires_silently(self):
         router = make_router()
         router.pit[name("X/0")] = PitEntry(name("X/0"), 0.5, incoming={1})
-        assert router.on_timeout(name("X/0"), 0.5, random.Random(0)) == []
+        out = Recorder()
+        assert router.on_timeout(name("X/0"), 0.5, random.Random(0), out) is None
+        assert out.calls == []
         assert name("X/0") not in router.pit
 
     def test_retransmission_attaches_fresh_probe(self):
         # Only the retried entry pending: nothing else is worth probing.
         router, entry = self.prepared_router([4, 1])
         router.probe_strategy = ProbeStrategy.PIT_POPULAR
-        actions = router.on_timeout(name("X/0"), 0.5, random.Random(0))
-        assert actions[0].packet.probe is None
+        out = Recorder()
+        router.on_timeout(name("X/0"), 0.5, random.Random(0), out)
+        assert out.sends[0][1].probe is None
         # A second pending entry loses the deadline tie-break to X/0, yet
         # it is the one the retry carries.
         router, entry = self.prepared_router([4, 1])
         router.probe_strategy = ProbeStrategy.PIT_POPULAR
         router.pit[name("Y/0")] = PitEntry(name("Y/0"), 0.8, incoming={2})
-        actions = router.on_timeout(name("X/0"), 0.5, random.Random(0))
-        assert actions[0].packet.probe == name("Y/0")
+        out = Recorder()
+        router.on_timeout(name("X/0"), 0.5, random.Random(0), out)
+        assert out.sends[0][1].probe == name("Y/0")
 
 
 def test_table_capacity_bounds_hold_under_random_operations():
@@ -567,26 +617,28 @@ def test_probes_name_only_content_the_origin_lacks(strategy):
         op = rng.randrange(4)
         if op == 0:
             packet = InterestPacket(pick, next(nonces))
-            router.on_interest(packet, LOCAL, now, rng)
+            router.on_interest(packet, LOCAL, now, rng, Recorder())
             if packet.probe is not None:
                 probes += 1
                 assert packet.probe != pick
                 assert not router.holds(packet.probe)
         elif op == 1:
             router.on_interest(InterestPacket(pick, next(nonces)),
-                               rng.choice([1, 2, 3]), now, rng)
+                               rng.choice([1, 2, 3]), now, rng, Recorder())
         elif op == 2 and pick in router.pit:
             response = rng.sample(range(5), rng.randrange(6))
             router.on_data(DataPacket(pick, provider_id=rng.randrange(5),
                                       payload_size=64,
                                       probe=rng.choice(names),
-                                      probe_response=response), 1, now)
+                                      probe_response=response), 1, now,
+                           Recorder())
         elif op == 3 and pick in router.pit:
-            for act in router.on_timeout(pick, now, rng):
-                if act.kind is ActionKind.FORWARD_INTEREST:
-                    probes += act.packet.probe is not None
-                    assert act.packet.probe != pick
-                    assert not router.holds(act.packet.probe)
+            out = Recorder()
+            router.on_timeout(pick, now, rng, out)
+            for packet in out.forwards:
+                probes += packet.probe is not None
+                assert packet.probe != pick
+                assert not router.holds(packet.probe)
         assert all(0 not in entry.providers for entry in router.fib.values())
     assert probes > 0
 
@@ -599,8 +651,8 @@ def test_aggregation_emits_at_most_one_forward_batch_per_pending_entry():
         pick = name(f"P/{rng.randrange(8)}")
         in_iface = rng.choice([LOCAL, 1, 2, 3])
         pending = pick in router.pit
-        actions = router.on_interest(
-            InterestPacket(pick, next(nonces)), in_iface, rng.random(), rng)
-        forwards = [a for a in actions if a.kind is ActionKind.FORWARD_INTEREST]
+        out = Recorder()
+        router.on_interest(InterestPacket(pick, next(nonces)), in_iface,
+                           rng.random(), rng, out)
         if pending:
-            assert forwards == []
+            assert out.forwards == []

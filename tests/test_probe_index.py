@@ -99,6 +99,19 @@ def pool_random(router: RouterState, rng: random.Random, sending) -> ContentName
     return pool[rng.randrange(len(pool))]
 
 
+class Recorder:
+    """A handler's `out`: records every transmit and local delivery."""
+
+    def __init__(self):
+        self.calls = []
+
+    def transmit(self, src, iface, packet, now):
+        self.calls.append(("transmit", src, iface, packet, now))
+
+    def deliver(self, entry, data, now):
+        self.calls.append(("deliver", entry, data, now))
+
+
 def check_selection(router: RouterState, sending, seed: int) -> None:
     rng, expected_rng = random.Random(seed), random.Random(seed)
     picked = router.select_probe(0.0, rng, sending)
@@ -119,8 +132,16 @@ def apply(router: RouterState, op: tuple, clock: itertools.count) -> None:
         _, name, provider, probe, response, now = op
         if name not in router.pit and not router.holds(name):
             router.pit[name] = PitEntry(name, now + 0.5, incoming={1})
-        router.on_data(DataPacket(name, provider, probe=probe,
-                                  probe_response=response[:5]), 1, now)
+        entry = router.pit.get(name)
+        out = Recorder()
+        data = DataPacket(name, provider, probe=probe, probe_response=response[:5])
+        reason = router.on_data(data, 1, now, out)
+        if entry is None:
+            assert reason == "unsolicited" and out.calls == []
+        else:
+            assert reason is None
+            assert out.calls == [("transmit", 0, iface, data, now)
+                                 for iface in sorted(entry.incoming)]
     elif kind == "churn":
         _, ratio, seed = op
         inject_cache_churn([router], ratio, random.Random(seed))
