@@ -334,18 +334,20 @@ class Simulation:
         router.on_interest(interest, LOCAL, now, self.rng, self)
         self._arm_timeout(router, rid, name)
 
-    def _on_arrival(self, now: float, packet, src: RouterId, dst: RouterId) -> None:
+    def _on_arrival(self, now: float, packet, key: tuple[RouterId, RouterId],
+                    hops: int) -> None:
+        src, dst = key
         router = self.routers.get(dst)
-        if router is None or (src, dst) not in self.links:
+        if router is None or key not in self.links:
             self._inflight_drops += 1
             return
-        packet.hop_count += 1
-        if isinstance(packet, InterestPacket):
+        if type(packet) is InterestPacket:
             self.stats.received_interests += 1
             router.on_interest(packet, src, now, self.rng, self)
             self._arm_timeout(router, dst, packet.name)
         else:
             self.stats.received_data += 1
+            packet.hop_count = hops
             router.on_data(packet, src, now, self)
 
     def _on_timeout_event(self, now: float, rid: RouterId, name: ContentName,
@@ -376,18 +378,26 @@ class Simulation:
 
     def transmit(self, src: RouterId, dst: RouterId,
                  packet: InterestPacket | DataPacket, now: float) -> None:
-        """Send `packet` from router `src` to its neighbor `dst`."""
-        if isinstance(packet, InterestPacket):
+        """Send `packet` from router `src` to its neighbor `dst`.
+
+        The packet object itself travels: copies sent to several neighbors
+        share it, and a data packet's hop count rides on the arrival event.
+        """
+        if type(packet) is InterestPacket:
             self.stats.sent_interests += 1
+            hops = 0
         else:
             self.stats.sent_data += 1
-        link = self.links.get((src, dst))
+            hops = packet.hop_count + 1
+        key = (src, dst)
+        link = self.links.get(key)
         if link is None:
             return  # interface severed by a failure: sent but lost
         arrival = schedule_transmission(link, wire_size(packet), now)
         if arrival is None:
             return  # drop-tail loss: sent but never received
-        self._push(arrival, EV_ARRIVAL, packet.clone(), src, dst)
+        heappush(self._heap,
+                 (arrival, next(self._seq), EV_ARRIVAL, packet, key, hops))
 
     def deliver(self, entry: PitEntry, data: DataPacket, now: float) -> None:
         """Hand `data` to the local requests waiting in `entry`."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,37 +29,20 @@ PROBE_OVERHEAD_BYTES = NAME_BYTES + PROBE_RESPONSE_BYTES  # 22
 DEFAULT_PAYLOAD_BYTES = 1024
 
 
-class ContentName:
+class ContentName(namedtuple("ContentName", "prefix seq")):
     """A content identifier `prefix/seq`, e.g. "Atlanta/0".
 
-    Immutable; the hash is precomputed because names key every router table
-    in the simulator's hot path.
+    A plain tuple: hash, equality and order are those of `(prefix, seq)`,
+    computed in C, because names key every router table in the simulator's
+    hot path. So `ContentName("A", 1) == ("A", 1)`.
     """
 
-    __slots__ = ("prefix", "seq", "_hash")
+    __slots__ = ()
 
-    def __init__(self, prefix: str, seq: int):
+    def __new__(cls, prefix: str, seq: int):
         if seq < 0:
             raise ValueError(f"negative sequence number in content name: {seq}")
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "_hash", hash((prefix, seq)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ContentName is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ContentName)
-                and self.prefix == other.prefix and self.seq == other.seq)
-
-    def __lt__(self, other: "ContentName") -> bool:
-        return (self.prefix, self.seq) < (other.prefix, other.seq)
-
-    def __repr__(self) -> str:
-        return f"ContentName({self.prefix!r}, {self.seq})"
+        return super().__new__(cls, prefix, seq)
 
     def __str__(self) -> str:
         return f"{self.prefix}/{self.seq}"
@@ -79,6 +63,9 @@ class InterestPacket:
     single byte; the simulator uses a wide unique token internally so that
     duplicate detection never suffers accidental collisions, and charges
     one byte in `wire_size` regardless.
+
+    A packet in flight is shared by every copy of it a router sent, so a
+    router that writes `probe_response` works on a `clone()`.
     """
 
     name: ContentName
@@ -86,13 +73,11 @@ class InterestPacket:
     probe: ContentName | None = None
     probe_response: list[RouterId] = field(default_factory=list)
     # Telemetry, excluded from wire size.
-    hop_count: int = 0
     issue_time: float = 0.0
 
     def clone(self) -> "InterestPacket":
         return InterestPacket(self.name, self.nonce, self.probe,
-                              list(self.probe_response), self.hop_count,
-                              self.issue_time)
+                              list(self.probe_response), self.issue_time)
 
 
 @dataclass(slots=True)
@@ -104,7 +89,8 @@ class DataPacket:
     payload_size: int = DEFAULT_PAYLOAD_BYTES
     probe: ContentName | None = None
     probe_response: list[RouterId] = field(default_factory=list)
-    # Telemetry, excluded from wire size.
+    # Telemetry, excluded from wire size: hops travelled, set on each
+    # arrival from the arrival event.
     hop_count: int = 0
 
     def clone(self) -> "DataPacket":
@@ -118,9 +104,9 @@ def wire_size(packet: InterestPacket | DataPacket) -> int:
     The probe name and probe-response list are accounted only when a probe
     is attached; together they add exactly 22 bytes.
     """
-    if isinstance(packet, InterestPacket):
+    if type(packet) is InterestPacket:
         size = NAME_BYTES + SELECTOR_BYTES + NONCE_BYTES
-    elif isinstance(packet, DataPacket):
+    elif type(packet) is DataPacket:
         size = NAME_BYTES + SIGNATURE_BYTES + SIGNED_INFO_BYTES + packet.payload_size
     else:
         raise TypeError(f"not a packet: {packet!r}")

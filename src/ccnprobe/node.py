@@ -29,14 +29,12 @@ class Forwarding(str, Enum):
     BROADCAST = "broadcast"
 
 
-@dataclass(slots=True)
-class CsEntry:
-    size: int
-    insert_time: float
-
-
 class ContentStore:
-    """Bounded cache of content payloads with FIFO or LRU replacement."""
+    """Bounded cache of content names with FIFO or LRU replacement.
+
+    `entries` maps each cached name to None; its order is the replacement
+    order, oldest first.
+    """
 
     def __init__(self, capacity: int, policy: str = "lru"):
         if capacity < 1:
@@ -45,7 +43,7 @@ class ContentStore:
             raise ValueError(f"unknown cache policy {policy!r}")
         self.capacity = capacity
         self.policy = policy
-        self.entries: OrderedDict[ContentName, CsEntry] = OrderedDict()
+        self.entries: OrderedDict[ContentName, None] = OrderedDict()
 
     def __contains__(self, name: ContentName) -> bool:
         return name in self.entries
@@ -57,21 +55,20 @@ class ContentStore:
         if self.policy == "lru" and name in self.entries:
             self.entries.move_to_end(name)
 
-    def insert(self, name: ContentName, size: int, now: float) -> ContentName | None:
+    def insert(self, name: ContentName) -> ContentName | None:
         """Store `name`; returns the evicted name when the store was full.
 
-        Re-inserting an existing name refreshes its timestamp and position
-        without evicting anything.
+        Re-inserting an existing name makes it the newest without evicting
+        anything.
         """
-        existing = self.entries.get(name)
-        if existing is not None:
-            existing.insert_time = now
-            self.entries.move_to_end(name)
+        entries = self.entries
+        if name in entries:
+            entries.move_to_end(name)
             return None
         evicted = None
-        if len(self.entries) >= self.capacity:
-            evicted, _ = self.entries.popitem(last=False)
-        self.entries[name] = CsEntry(size, now)
+        if len(entries) >= self.capacity:
+            evicted, _ = entries.popitem(last=False)
+        entries[name] = None
         return evicted
 
     def remove(self, name: ContentName) -> None:
@@ -176,9 +173,9 @@ class RouterState:
     # The content store changes only through these two methods, and never
     # holds the router's own catalog: a name is cached only when not held.
 
-    def _cache(self, name: ContentName, size: int, now: float) -> None:
+    def _cache(self, name: ContentName) -> None:
         """Cache `name`, which this router does not hold yet."""
-        evicted = self.cs.insert(name, size, now)
+        evicted = self.cs.insert(name)
         if self._count_held:
             fib = self.fib
             if name in fib:
@@ -447,9 +444,11 @@ class RouterState:
         """Process one arriving interest (Initial / Miss / Hit roles).
 
         Order: PIT aggregation and duplicate-nonce suppression first, then
-        the content-store check, probe handling, and output selection.
-        Returns the drop reason, or None when the interest was answered or
-        sent on.
+        the content-store check, probe handling, and output selection. Only
+        a miss leaves a PIT entry. The arriving packet may be shared with
+        copies still in flight, so it is cloned before this router writes
+        its id into `probe_response`. Returns the drop reason, or None when
+        the interest was answered or sent on.
         """
         name = interest.name
         entry = self.pit.get(name)
@@ -464,6 +463,24 @@ class RouterState:
                 entry.incoming.add(in_iface)
             return "pit-aggregated"
 
+        probe = interest.probe
+        if self.holds(name):
+            # Hit: answer from the content store, replicating probe fields.
+            self.cs.touch(name)
+            response = interest.probe_response   # shared, never written
+            if probe is not None and self.holds(probe):
+                self.cs.touch(probe)
+                if self.id not in response and len(response) < PROBE_RESPONSE_CAPACITY:
+                    response = response + [self.id]
+            data = DataPacket(name, self.id, self.payload_size, probe, response)
+            if in_iface == LOCAL:
+                out.deliver(PitEntry(name, now + self.timeout,
+                                     local_tokens=[(interest.nonce, now)]),
+                            data, now)
+            else:
+                out.transmit(self.id, in_iface, data, now)
+            return None
+
         entry = PitEntry(name, deadline=now + self.timeout,
                          seen_nonces={interest.nonce})
         if in_iface == LOCAL:
@@ -472,32 +489,15 @@ class RouterState:
             entry.incoming.add(in_iface)
         self.pit[name] = entry
 
-        probe = interest.probe
-        if self.holds(name):
-            # Hit: answer from the content store, replicating probe fields.
-            self.cs.touch(name)
-            response = list(interest.probe_response)
-            if probe is not None and self.holds(probe):
-                self.cs.touch(probe)
-                if self.id not in response and len(response) < PROBE_RESPONSE_CAPACITY:
-                    response.append(self.id)
-            data = DataPacket(name, provider_id=self.id,
-                              payload_size=self.payload_size,
-                              probe=probe, probe_response=response)
-            del self.pit[name]
-            if in_iface == LOCAL:
-                out.deliver(entry, data, now)
-            else:
-                out.transmit(self.id, in_iface, data, now)
-            return None
-
         # Miss: record ourselves as a probe provider when it applies.
         if probe is not None and self.holds(probe):
             self.cs.touch(probe)
-            if (self.id not in interest.probe_response
-                    and len(interest.probe_response) < PROBE_RESPONSE_CAPACITY):
+            response = interest.probe_response
+            if self.id not in response and len(response) < PROBE_RESPONSE_CAPACITY:
+                interest = interest.clone()
                 interest.probe_response.append(self.id)
         elif probe is None and in_iface == LOCAL:
+            # A local interest is new, not yet shared: set its probe in place.
             attached = self.select_probe(now, rng, name)
             if attached is not None:
                 interest.probe = attached
@@ -531,7 +531,7 @@ class RouterState:
         if entry is None:
             return "unsolicited"
         if not self.holds(name):
-            self._cache(name, data.payload_size, now)
+            self._cache(name)
         else:
             self.cs.touch(name)
         self.fib_update(name, [data.provider_id], now)

@@ -7,10 +7,11 @@ import pytest
 from scipy.stats import chisquare
 
 from ccnprobe.cli import data_path
-from ccnprobe.engine import (ConfigError, LinkQueue, Scenario, Simulation,
-                             generate_interest_events, inject_cache_churn,
-                             inject_failure, run, scenario_variant)
-from ccnprobe.model import ContentName, content_catalog
+from ccnprobe.engine import (EV_ISSUE, ConfigError, LinkQueue, Scenario,
+                             Simulation, generate_interest_events,
+                             inject_cache_churn, inject_failure, run,
+                             scenario_variant)
+from ccnprobe.model import ContentName, InterestPacket, content_catalog
 from ccnprobe.node import ContentStore, RouterState
 from ccnprobe.topology import build_spt, load_topology
 
@@ -99,7 +100,7 @@ class TestCacheChurn:
         graph = load_topology("node A\nnode B\nedge A B\n")
         router = RouterState(0, ContentStore(32), build_spt(graph, 0), [1])
         for i in range(items):
-            router.cs.insert(ContentName("P", i), 1, float(i))
+            router.cs.insert(ContentName("P", i))
         return [router]
 
     def test_zero_ratio_is_identity(self):
@@ -339,6 +340,94 @@ class TestRun:
                                       link_bandwidth=4096.0, queue_capacity=4))
         assert report.packet_loss_pct > 0.0
         assert report.received_packets < report.sent_packets
+
+
+# Two relays between a consumer and a producer: S-R1-P and S-R2-P.
+DIAMOND_TOPO = """
+node S consumer
+node R1
+node R2
+node P producer
+edge S R1
+edge S R2
+edge R1 P
+edge R2 P
+"""
+
+# A producer behind router X, with consumer A one hop from X and consumer B
+# two hops from X through Y.
+FORK_TOPO = """
+node P producer
+node X
+node A consumer
+node Y
+node B consumer
+edge P X
+edge X A
+edge X Y
+edge Y B
+"""
+
+
+class TestSharedPackets:
+    """Copies of a packet in flight share one object; each hop still sees
+    its own probe response and hop count."""
+
+    def quiet_simulation(self, topology, **overrides):
+        sim = Simulation(Scenario(topology=topology, sim_duration=1.0,
+                                  interest_frequency=0, contents_per_producer=4,
+                                  cache_size_ratio=0.5, link_delay=0.01,
+                                  link_bandwidth="unlimited", **overrides))
+        ids = {name: rid for rid, name in sim.graph.name_of.items()}
+        return sim, ids
+
+    def test_relays_holding_the_probe_each_write_their_own_copy(self):
+        sim, ids = self.quiet_simulation(DIAMOND_TOPO, forwarding="broadcast")
+        s, r1, r2, p = (ids[n] for n in ("S", "R1", "R2", "P"))
+        probe = ContentName("P", 1)
+        for relay in (r1, r2):
+            sim.routers[relay]._cache(probe)
+        sent = []
+        transmit = sim.transmit
+
+        def recording(src, dst, packet, now):
+            sent.append((src, dst, packet))
+            transmit(src, dst, packet, now)
+        sim.transmit = recording
+
+        # S broadcasts one probed interest to both relays.
+        original = InterestPacket(ContentName("P", 0), next(sim.nonces),
+                                  probe=probe)
+        for relay in (r1, r2):
+            sim.transmit(s, relay, original, 0.0)
+        sim.run()
+        interests = {(src, dst): packet for src, dst, packet in sent
+                     if isinstance(packet, InterestPacket)}
+        assert interests[s, r1] is original and interests[s, r2] is original
+        assert interests[r1, p].probe_response == [r1]
+        assert interests[r2, p].probe_response == [r2]
+        assert original.probe_response == []
+
+    def test_one_data_packet_reaches_two_origins_with_their_own_hop_counts(self):
+        sim, ids = self.quiet_simulation(FORK_TOPO, producer_routing=True)
+        a, b = ids["A"], ids["B"]
+        name = ContentName("P", 0)
+        sim._push(0.0, EV_ISSUE, a, name, None)
+        sim._push(0.001, EV_ISSUE, b, name, None)
+        delivered = []
+        deliver = sim.deliver
+
+        def recording(entry, data, now):
+            [(_nonce, issued)] = entry.local_tokens
+            delivered.append((issued, data, data.hop_count))
+            deliver(entry, data, now)
+        sim.deliver = recording
+
+        report = sim.run()
+        assert [(issued, hops) for issued, _data, hops in delivered] == [
+            (0.0, 2), (0.001, 3)]
+        assert delivered[0][1] is delivered[1][1]  # one shared data packet
+        assert report.hop_count_sum == 2 + 3
 
 
 class TestFailureTotals:

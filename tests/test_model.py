@@ -53,9 +53,11 @@ class TestWireSize:
         assert wire_size(half) == wire_size(full) == 27
 
     def test_telemetry_fields_not_counted(self):
-        interest = InterestPacket(ContentName("P", 0), nonce=1,
-                                  hop_count=9, issue_time=123.0)
+        interest = InterestPacket(ContentName("P", 0), nonce=1, issue_time=123.0)
         assert wire_size(interest) == 5
+        data = DataPacket(ContentName("P", 0), provider_id=1, payload_size=0,
+                          hop_count=9)
+        assert wire_size(data) == 5
 
     def test_non_packet_rejected(self):
         with pytest.raises(TypeError):
@@ -83,12 +85,29 @@ class TestContentName:
         name = ContentName("P", 1)
         with pytest.raises(AttributeError):
             name.seq = 2
+        with pytest.raises(AttributeError):
+            name.prefix = "Q"
+        with pytest.raises(AttributeError):
+            name.extra = 0
         assert len({ContentName("P", 1), ContentName("P", 1)}) == 1
+
+    @pytest.mark.parametrize("prefix, seq", [("P", 0), ("Atlanta", 7), ("", 3)])
+    def test_hash_and_equality_are_the_tuples(self, prefix, seq):
+        name = ContentName(prefix, seq)
+        assert hash(name) == hash((prefix, seq))
+        assert name == (prefix, seq) and (prefix, seq) == name
+        assert name != (prefix, seq + 1)
 
     def test_ordering(self):
         names = [ContentName("B", 0), ContentName("A", 2), ContentName("A", 1)]
         assert sorted(names) == [ContentName("A", 1), ContentName("A", 2),
                                  ContentName("B", 0)]
+
+    def test_sorted_order_is_tuple_order(self):
+        pairs = [("B", 0), ("A", 10), ("A", 2), ("AB", 0), ("B", 1), ("A", 0)]
+        names = [ContentName(p, s) for p, s in pairs]
+        assert [tuple(n) for n in sorted(names)] == sorted(pairs)
+        assert ContentName("A", 2) < ContentName("A", 10) < ContentName("B", 0)
 
 
 class TestContentCatalog:
@@ -123,10 +142,12 @@ def test_packet_clone_is_independent():
     interest = probed_interest()
     clone = interest.clone()
     clone.probe_response.append(9)
-    clone.hop_count += 1
     assert interest.probe_response == [1, 2, 3, 4, 5]
-    assert interest.hop_count == 0
+    assert clone == InterestPacket(interest.name, interest.nonce, interest.probe,
+                                   [1, 2, 3, 4, 5, 9], interest.issue_time)
     data = DataPacket(ContentName("P", 0), provider_id=2, probe_response=[1])
     dclone = data.clone()
     dclone.probe_response.append(2)
+    dclone.hop_count += 1
     assert data.probe_response == [1]
+    assert data.hop_count == 0

@@ -74,40 +74,46 @@ class Recorder:
 class TestContentStore:
     def test_fifo_evicts_oldest_insert(self):
         cs = ContentStore(2, "fifo")
-        cs.insert(name("P/0"), 1, 0.0)
-        cs.insert(name("P/1"), 1, 1.0)
-        evicted = cs.insert(name("P/2"), 1, 2.0)
+        cs.insert(name("P/0"))
+        cs.insert(name("P/1"))
+        evicted = cs.insert(name("P/2"))
         assert evicted == name("P/0")
         assert name("P/1") in cs and name("P/2") in cs
 
     def test_lru_access_protects_entry(self):
         cs = ContentStore(2, "lru")
-        cs.insert(name("P/0"), 1, 0.0)
-        cs.insert(name("P/1"), 1, 1.0)
+        cs.insert(name("P/0"))
+        cs.insert(name("P/1"))
         cs.touch(name("P/0"))
-        evicted = cs.insert(name("P/2"), 1, 3.0)
+        evicted = cs.insert(name("P/2"))
         assert evicted == name("P/1")
 
     def test_fifo_ignores_access_order(self):
         cs = ContentStore(2, "fifo")
-        cs.insert(name("P/0"), 1, 0.0)
-        cs.insert(name("P/1"), 1, 1.0)
+        cs.insert(name("P/0"))
+        cs.insert(name("P/1"))
         cs.touch(name("P/0"))
-        assert cs.insert(name("P/2"), 1, 3.0) == name("P/0")
+        assert cs.insert(name("P/2")) == name("P/0")
 
     def test_reinsert_refreshes_without_eviction(self):
-        cs = ContentStore(2, "fifo")
-        cs.insert(name("P/0"), 1, 0.0)
-        cs.insert(name("P/1"), 1, 1.0)
-        assert cs.insert(name("P/0"), 1, 2.0) is None
-        assert cs.entries[name("P/0")].insert_time == 2.0
-        # refreshed entry is now the newest in FIFO order
-        assert cs.insert(name("P/2"), 1, 3.0) == name("P/1")
+        for policy in ("fifo", "lru"):
+            cs = ContentStore(2, policy)
+            cs.insert(name("P/0"))
+            cs.insert(name("P/1"))
+            assert cs.insert(name("P/0")) is None
+            # refreshed entry is now the newest in replacement order
+            assert cs.names() == [name("P/1"), name("P/0")]
+            assert cs.insert(name("P/2")) == name("P/1")
+
+    def test_entries_hold_bare_names(self):
+        cs = ContentStore(2)
+        cs.insert(name("P/0"))
+        assert dict(cs.entries) == {name("P/0"): None}
 
     def test_capacity_bound_holds(self):
         cs = ContentStore(3, "lru")
         for i in range(50):
-            cs.insert(name(f"P/{i}"), 1, float(i))
+            cs.insert(name(f"P/{i}"))
             assert len(cs) <= 3
 
     def test_bad_parameters_rejected(self):
@@ -206,7 +212,7 @@ class TestSelectProbe:
         # rank them first, and they come first in sequential order.
         router = make_router(strategy=strategy,
                              origin=frozenset({name("n0/1")}))
-        router.cs.insert(name("Q/0"), 1, 0.0)
+        router.cs.insert(name("Q/0"))
         router.fib_update(name("n0/1"), [99], 0.0)
         router.fib_update(name("Q/0"), [99], 0.0)
         router.fib_update(name("F/0"), [1], 0.0)
@@ -338,8 +344,9 @@ class TestOnInterest:
                                   out) is None
         assert [c[0] for c in out.calls] == ["deliver"]
         _kind, entry, data, now = out.calls[0]
-        assert entry.local_tokens == [(1, 1.0)]
+        assert entry.local_tokens == [(1, 1.0)] and entry.expected_provider is None
         assert isinstance(data, DataPacket) and now == 1.0
+        assert router.pit == {}
 
     def test_pending_name_aggregates_and_drops(self):
         router = make_router()
@@ -409,21 +416,26 @@ class TestOnInterest:
 
     def test_relay_appends_id_when_it_holds_probe_content(self):
         router = make_router()
-        router.cs.insert(name("Q/0"), 1, 0.5)
+        router.cs.insert(name("Q/0"))
         packet = interest("X/0", probe=name("Q/0"), response=[7])
-        router.on_interest(packet, 1, 1.0, random.Random(0), Recorder())
-        assert packet.probe_response == [7, 0]
+        out = Recorder()
+        router.on_interest(packet, 1, 1.0, random.Random(0), out)
+        assert out.ifaces == [2, 3]  # FIB miss: broadcast
+        sent, again = out.forwards
+        assert sent is again and sent.probe_response == [7, 0]
+        # The arriving packet may be shared with copies in flight: untouched.
+        assert sent is not packet and packet.probe_response == [7]
 
     def test_probe_response_capacity_is_first_come(self):
         router = make_router()
-        router.cs.insert(name("Q/0"), 1, 0.5)
+        router.cs.insert(name("Q/0"))
         packet = interest("X/0", probe=name("Q/0"), response=[5, 6, 7, 8, 9])
         router.on_interest(packet, 1, 1.0, random.Random(0), Recorder())
         assert packet.probe_response == [5, 6, 7, 8, 9]  # full: no displacement
 
     def test_probe_response_never_duplicates_ids(self):
         router = make_router()
-        router.cs.insert(name("Q/0"), 1, 0.5)
+        router.cs.insert(name("Q/0"))
         packet = interest("X/0", probe=name("Q/0"), response=[0])
         router.on_interest(packet, 1, 1.0, random.Random(0), Recorder())
         assert packet.probe_response == [0]
@@ -593,7 +605,7 @@ def test_table_capacity_bounds_hold_under_random_operations():
         pick = rng.choice(names)
         op = rng.randrange(3)
         if op == 0:
-            router.cs.insert(pick, 1, now)
+            router.cs.insert(pick)
         elif op == 1:
             router.fib_update(pick, [rng.randrange(1, 6)], now)
         else:
