@@ -396,8 +396,7 @@ class Simulation:
         arrival = schedule_transmission(link, wire_size(packet), now)
         if arrival is None:
             return  # drop-tail loss: sent but never received
-        heappush(self._heap,
-                 (arrival, next(self._seq), EV_ARRIVAL, packet, key, hops))
+        self._push(arrival, EV_ARRIVAL, packet, key, hops)
 
     def deliver(self, entry: PitEntry, data: DataPacket, now: float) -> None:
         """Hand `data` to the local requests waiting in `entry`."""

@@ -335,6 +335,7 @@ class TestOnInterest:
         assert data.provider_id == 0
         assert data.probe == name("n0/7")
         assert data.probe_response == [2, 0]  # own id appended: probe also held
+        assert packet.probe_response == [2]  # the interest may be shared: untouched
         assert router.pit == {}
 
     def test_local_hit_delivers_locally(self):
@@ -430,14 +431,22 @@ class TestOnInterest:
         router = make_router()
         router.cs.insert(name("Q/0"))
         packet = interest("X/0", probe=name("Q/0"), response=[5, 6, 7, 8, 9])
-        router.on_interest(packet, 1, 1.0, random.Random(0), Recorder())
-        assert packet.probe_response == [5, 6, 7, 8, 9]  # full: no displacement
+        out = Recorder()
+        router.on_interest(packet, 1, 1.0, random.Random(0), out)
+        assert len(out.forwards) == 2
+        for sent in out.forwards:  # full: no displacement
+            assert sent.probe_response == [5, 6, 7, 8, 9]
+        assert packet.probe_response == [5, 6, 7, 8, 9]
 
     def test_probe_response_never_duplicates_ids(self):
         router = make_router()
         router.cs.insert(name("Q/0"))
         packet = interest("X/0", probe=name("Q/0"), response=[0])
-        router.on_interest(packet, 1, 1.0, random.Random(0), Recorder())
+        out = Recorder()
+        router.on_interest(packet, 1, 1.0, random.Random(0), out)
+        assert len(out.forwards) == 2
+        for sent in out.forwards:
+            assert sent.probe_response == [0]
         assert packet.probe_response == [0]
 
     def test_isolated_router_drops_with_no_route(self):
