@@ -10,11 +10,11 @@ import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
-from .engine import ConfigError, Scenario, Simulation, run, scenario_variant
+from .engine import ConfigError, Scenario, Simulation, run
 from .metrics import AccountingError, MetricsReport, classify_qos
 from .node import ProbeStrategy
 from .topology import TopologyError
@@ -236,14 +236,14 @@ def _axis_variant(scenario: Scenario, axis: str, value: str) -> tuple[Scenario, 
         raise ConfigError(f"bad {axis} value {value!r}: {exc}") from None
     if axis == "failures":  # one event of `v` routers, at half time
         at = scenario.sim_duration / 2.0
-        return scenario_variant(scenario, failures=((at, v),)), v
-    return scenario_variant(scenario, **{field: v}), v
+        return replace(scenario, failures=((at, v),)), v
+    return replace(scenario, **{field: v}), v
 
 
 def _run_point(args: tuple) -> list:
     """One (strategy, axis value, seed) simulation; returns a sweep.csv row."""
     scenario, strategy, axis, axis_value, seed = args
-    sc = scenario_variant(scenario, probe_strategy=strategy, rng_seed=seed)
+    sc = replace(scenario, probe_strategy=strategy, rng_seed=seed)
     report = run(sc)
     return [strategy, axis, axis_value, seed, scenario_hash(sc),
             *report.csv_values()]
@@ -255,7 +255,7 @@ def load(args) -> tuple[dict, Scenario, int]:
     apply_overrides(config, args.set)
     scenario = build_scenario(config)
     if args.seed is not None:
-        scenario = scenario_variant(scenario, rng_seed=args.seed)
+        scenario = replace(scenario, rng_seed=args.seed)
     repeats = args.repeats if args.repeats is not None else config.get("repeats", 1)
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
@@ -278,7 +278,7 @@ def cmd_run(args) -> int:
 
     rows = []
     for i in range(repeats):
-        sc = scenario_variant(scenario, rng_seed=scenario.rng_seed + i)
+        sc = replace(scenario, rng_seed=scenario.rng_seed + i)
         report = run(sc)
         rows.append([sc.probe_strategy, sc.rng_seed, scenario_hash(sc),
                      *report.csv_values()])

@@ -7,7 +7,8 @@ import itertools
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 
 from .metrics import MetricsReport
@@ -217,7 +218,8 @@ class Simulation:
     All randomness flows from one generator seeded with the scenario seed;
     event ordering is total via (time, push-sequence). The simulation is
     the `out` of every router handler call: routers send through its
-    `transmit` and `deliver`.
+    `transmit` and `deliver` and queue their PIT timeouts through its
+    `arm_timeout`.
     """
 
     def __init__(self, scenario: Scenario):
@@ -226,12 +228,7 @@ class Simulation:
         self.rng = random.Random(scenario.rng_seed)
         self.nonces = itertools.count(1)
 
-        graph = load_topology(scenario.topology)
-        if scenario.link_delay is not None or scenario.link_bandwidth is not None:
-            graph.links = {
-                key: self._override_link(link) for key, link in graph.links.items()
-            }
-        self.graph = graph
+        graph = self.graph = load_topology(scenario.topology)
 
         producer_ids = graph.producers()
         self.catalog = content_catalog(
@@ -266,8 +263,13 @@ class Simulation:
                 scenario.fib_entry_ttl, scenario.timeout, scenario.payload_size,
                 origin, producer_routes, self.nonces)
 
+        # `link_delay` and `link_bandwidth`, when set, override every link.
+        delay, bandwidth = scenario.link_delay, scenario.link_bandwidth
         self.links: dict[tuple[RouterId, RouterId], LinkQueue] = {
-            key: LinkQueue(link.delay, link.bandwidth, scenario.queue_capacity)
+            key: LinkQueue(link.delay if delay is None else delay,
+                           link.bandwidth if bandwidth is None
+                           else None if bandwidth == "unlimited" else float(bandwidth),
+                           scenario.queue_capacity)
             for key, link in graph.links.items()
         }
 
@@ -285,16 +287,6 @@ class Simulation:
         for time, consumer, name in generate_interest_events(
                 graph.consumers(), self.catalog, scenario, self.rng):
             self._push(time, EV_ISSUE, consumer, name, None)
-
-    def _override_link(self, link):
-        delay = link.delay if self.scenario.link_delay is None else self.scenario.link_delay
-        bandwidth = link.bandwidth
-        override = self.scenario.link_bandwidth
-        if override == "unlimited":
-            bandwidth = None
-        elif override is not None:
-            bandwidth = float(override)
-        return type(link)(delay, bandwidth)
 
     def _push(self, time, kind, a, b, c):
         heappush(self._heap, (time, next(self._seq), kind, a, b, c))
@@ -318,7 +310,7 @@ class Simulation:
             else:  # EV_END
                 break
         stats.pending_at_end = sum(
-            len(entry.local_tokens)
+            len(entry.local_issued)
             for router in self.routers.values()
             for entry in router.pit.values())
         return stats.finalize()
@@ -330,9 +322,8 @@ class Simulation:
         if router is None:
             return
         self.stats.issued_interests += 1
-        interest = InterestPacket(name, next(self.nonces), issue_time=now)
-        router.on_interest(interest, LOCAL, now, self.rng, self)
-        self._arm_timeout(router, rid, name)
+        router.on_interest(InterestPacket(name, next(self.nonces)), LOCAL, now,
+                           self.rng, self)
 
     def _on_arrival(self, now: float, packet, key: tuple[RouterId, RouterId],
                     hops: int) -> None:
@@ -344,7 +335,6 @@ class Simulation:
         if type(packet) is InterestPacket:
             self.stats.received_interests += 1
             router.on_interest(packet, src, now, self.rng, self)
-            self._arm_timeout(router, dst, packet.name)
         else:
             self.stats.received_data += 1
             packet.hop_count = hops
@@ -360,15 +350,14 @@ class Simulation:
             return
         self.stats.timeout_count += 1
         if router.on_timeout(name, now, self.rng, self) == "unsatisfied":
-            self.stats.unsatisfied_timeout += len(entry.local_tokens)
-        self._arm_timeout(router, rid, name)
+            self.stats.unsatisfied_timeout += len(entry.local_issued)
 
     def _on_failure(self, count: int) -> None:
         self.graph, spts, victims = inject_failure(self.graph, count, self.rng)
         for victim in victims:
             router = self.routers.pop(victim)
             self.stats.unsatisfied_failed += sum(
-                len(entry.local_tokens) for entry in router.pit.values())
+                len(entry.local_issued) for entry in router.pit.values())
         self.links = {key: lq for key, lq in self.links.items()
                       if key in self.graph.links}
         for rid, router in self.routers.items():
@@ -398,31 +387,28 @@ class Simulation:
             return  # drop-tail loss: sent but never received
         self._push(arrival, EV_ARRIVAL, packet, key, hops)
 
-    def deliver(self, entry: PitEntry, data: DataPacket, now: float) -> None:
-        """Hand `data` to the local requests waiting in `entry`."""
+    def deliver(self, data: DataPacket, issued: Sequence[float],
+                expected_provider: RouterId | None, now: float) -> None:
+        """Hand `data` to the local requests issued at the times `issued`.
+
+        `expected_provider` is the provider the origin unicast toward, if any.
+        """
         stats = self.stats
         stats.delivered_data += 1
         stats.hop_count_sum += data.hop_count
-        for _token, t0 in entry.local_tokens:
+        for t0 in issued:
             stats.satisfied_count += 1
             stats.add_response(now - t0)
-        if entry.expected_provider is not None:
+        if expected_provider is not None:
             stats.expected_provider_total += 1
-            if entry.expected_provider == data.provider_id:
+            if expected_provider == data.provider_id:
                 stats.expected_provider_hits += 1
 
-    def _arm_timeout(self, router: RouterState, rid: RouterId,
-                     name: ContentName) -> None:
-        entry = router.pit.get(name)
-        if entry is not None and entry.timeout_event_at != entry.deadline:
-            entry.timeout_event_at = entry.deadline
-            self._push(entry.deadline, EV_TIMEOUT, rid, name, entry.deadline)
+    def arm_timeout(self, rid: RouterId, entry: PitEntry) -> None:
+        """Queue the timeout of router `rid`'s PIT entry at its deadline."""
+        self._push(entry.deadline, EV_TIMEOUT, rid, entry.name, entry.deadline)
 
 
 def run(scenario: Scenario) -> MetricsReport:
     """Run one scenario to completion and return its finalized report."""
     return Simulation(scenario).run()
-
-
-def scenario_variant(scenario: Scenario, **overrides) -> Scenario:
-    return replace(scenario, **overrides)

@@ -72,12 +72,10 @@ class InterestPacket:
     nonce: int
     probe: ContentName | None = None
     probe_response: list[RouterId] = field(default_factory=list)
-    # Telemetry, excluded from wire size.
-    issue_time: float = 0.0
 
     def clone(self) -> "InterestPacket":
         return InterestPacket(self.name, self.nonce, self.probe,
-                              list(self.probe_response), self.issue_time)
+                              list(self.probe_response))
 
 
 @dataclass(slots=True)

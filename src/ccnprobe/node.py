@@ -85,13 +85,11 @@ class PitEntry:
     incoming: set[RouterId] = field(default_factory=set)
     seen_nonces: set[int] = field(default_factory=set)
     arrival_count: int = 1
-    # Populated only at the router where the interest originated.
-    local_tokens: list[tuple[int, float]] = field(default_factory=list)
+    # Issue times of the local requests; only at the origin router.
+    local_issued: list[float] = field(default_factory=list)
     tried_providers: set[RouterId] = field(default_factory=set)
     expected_provider: RouterId | None = None
     broadcast_retry_used: bool = False
-    # Deadline for which a timeout event is already queued (engine bookkeeping).
-    timeout_event_at: float = -1.0
 
 
 @dataclass(slots=True)
@@ -107,10 +105,13 @@ class RouterState:
     """One router's tables plus the packet-processing procedures.
 
     Single-owner mutable state: the engine delivers events to one router at
-    a time, so handlers never run re-entrantly. The packet handlers send
-    through the `out` they are given, `out.transmit(src, iface, packet,
-    now)` and `out.deliver(entry, data, now)`, and return the drop reason
-    or None. The router never keeps `out`.
+    a time, so handlers never run re-entrantly. The packet handlers act
+    through the `out` they are given and return the drop reason or None:
+    `out.transmit(src, iface, packet, now)` sends, `out.deliver(data,
+    issued, expected_provider, now)` answers local requests issued at the
+    times `issued`, and `out.arm_timeout(src, entry)` queues a PIT entry's
+    timeout at its deadline, once per deadline the router sets, after that
+    call's sends. The router never keeps `out`.
     """
 
     def __init__(self, rid: RouterId, cs: ContentStore, spt: SPTable,
@@ -445,7 +446,8 @@ class RouterState:
 
         Order: PIT aggregation and duplicate-nonce suppression first, then
         the content-store check, probe handling, and output selection. Only
-        a miss leaves a PIT entry. The arriving packet may be shared with
+        a miss leaves a PIT entry and queues its timeout; a local hit is
+        delivered with no PIT state. The arriving packet may be shared with
         copies still in flight, so it is cloned before this router writes
         its id into `probe_response`. Returns the drop reason, or None when
         the interest was answered or sent on.
@@ -458,7 +460,7 @@ class RouterState:
             entry.seen_nonces.add(interest.nonce)
             entry.arrival_count += 1
             if in_iface == LOCAL:
-                entry.local_tokens.append((interest.nonce, now))
+                entry.local_issued.append(now)
             else:
                 entry.incoming.add(in_iface)
             return "pit-aggregated"
@@ -474,9 +476,7 @@ class RouterState:
                     response = response + [self.id]
             data = DataPacket(name, self.id, self.payload_size, probe, response)
             if in_iface == LOCAL:
-                out.deliver(PitEntry(name, now + self.timeout,
-                                     local_tokens=[(interest.nonce, now)]),
-                            data, now)
+                out.deliver(data, (now,), None, now)
             else:
                 out.transmit(self.id, in_iface, data, now)
             return None
@@ -484,7 +484,7 @@ class RouterState:
         entry = PitEntry(name, deadline=now + self.timeout,
                          seen_nonces={interest.nonce})
         if in_iface == LOCAL:
-            entry.local_tokens.append((interest.nonce, now))
+            entry.local_issued.append(now)
         else:
             entry.incoming.add(in_iface)
         self.pit[name] = entry
@@ -510,13 +510,14 @@ class RouterState:
                 if in_iface == LOCAL:
                     entry.expected_provider = provider
                 out.transmit(self.id, iface, interest, now)
+                out.arm_timeout(self.id, entry)
                 return None
         outs = [nb for nb in self.neighbors if nb != in_iface]
-        if not outs:
-            return "no-route"
         for nb in outs:
             out.transmit(self.id, nb, interest, now)
-        return None
+        # With no route the entry stays pending until it times out.
+        out.arm_timeout(self.id, entry)
+        return None if outs else "no-route"
 
     def on_data(self, data: DataPacket, in_iface: RouterId, now: float,
                 out) -> str | None:
@@ -535,8 +536,8 @@ class RouterState:
         else:
             self.cs.touch(name)
         self.fib_update(name, [data.provider_id], now)
-        if entry.local_tokens:
-            out.deliver(entry, data, now)
+        if entry.local_issued:
+            out.deliver(data, entry.local_issued, entry.expected_provider, now)
         for iface in sorted(entry.incoming):
             out.transmit(self.id, iface, data, now)
         return None
@@ -551,14 +552,14 @@ class RouterState:
         expire.
         """
         entry = self.pit[name]
-        if not entry.local_tokens:
+        if not entry.local_issued:
             del self.pit[name]
             return None
         if entry.expected_provider is not None:
             entry.tried_providers.add(entry.expected_provider)
             entry.expected_provider = None
         nonce = next(self._nonces)
-        interest = InterestPacket(name, nonce, issue_time=now)
+        interest = InterestPacket(name, nonce)
         entry.seen_nonces.add(nonce)
         if self.probe_strategy != ProbeStrategy.NONE:
             attached = self.select_probe(now, rng, name)
@@ -571,12 +572,14 @@ class RouterState:
                 entry.deadline = now + self.timeout
                 entry.expected_provider = provider
                 out.transmit(self.id, iface, interest, now)
+                out.arm_timeout(self.id, entry)
                 return None
         if not entry.broadcast_retry_used and self.neighbors:
             entry.broadcast_retry_used = True
             entry.deadline = now + self.timeout
             for nb in self.neighbors:
                 out.transmit(self.id, nb, interest, now)
+            out.arm_timeout(self.id, entry)
             return None
         del self.pit[name]
         return "unsatisfied"

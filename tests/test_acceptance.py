@@ -8,6 +8,7 @@ user runs from the CLI.
 import random
 import statistics
 import time
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -15,7 +16,7 @@ from scipy.stats import spearmanr
 
 import ccnprobe.cli as cli
 from ccnprobe.cli import build_scenario, data_path, main, parse_config
-from ccnprobe.engine import Scenario, Simulation, run, scenario_variant
+from ccnprobe.engine import Scenario, Simulation, run
 from ccnprobe.metrics import AccountingError, MetricsReport, classify_qos
 from ccnprobe.model import ContentName, DataPacket, InterestPacket, wire_size
 from ccnprobe.node import RouterState
@@ -122,7 +123,8 @@ def test_criterion_02_spt_oracle_equivalence():
 # -- criterion 3 --------------------------------------------------------------
 
 class RecordingOut:
-    """Passes a handler's sends on to the simulation and keeps a copy."""
+    """Passes a handler's sends, deliveries and queued timeouts on to the
+    simulation and keeps a copy."""
 
     def __init__(self, out):
         self.out = out
@@ -132,9 +134,13 @@ class RecordingOut:
         self.calls.append(packet)
         self.out.transmit(src, iface, packet, now)
 
-    def deliver(self, entry, data, now):
+    def deliver(self, data, issued, expected_provider, now):
         self.calls.append(data)
-        self.out.deliver(entry, data, now)
+        self.out.deliver(data, issued, expected_provider, now)
+
+    def arm_timeout(self, rid, entry):
+        self.calls.append(entry)
+        self.out.arm_timeout(rid, entry)
 
 
 def test_criterion_03_pit_aggregation_property(monkeypatch):
@@ -225,8 +231,8 @@ def fig6_sweep():
         for ratio in ratios:
             runs = []
             for seed in SEEDS:
-                sc = scenario_variant(scenario, probe_strategy=strategy,
-                                      cache_size_ratio=ratio, rng_seed=seed)
+                sc = replace(scenario, probe_strategy=strategy,
+                             cache_size_ratio=ratio, rng_seed=seed)
                 runs.append(run(sc))
             reports[(strategy, ratio)] = runs
     elapsed = time.perf_counter() - started
@@ -301,8 +307,8 @@ def test_criterion_08_probe_selection_ordering():
     strategies = ("pit-probe", "fib-probe", "sequential", "random")
     acc, hops = {}, {}
     for strategy in strategies:
-        runs = [run(scenario_variant(scenario, probe_strategy=strategy,
-                                     cache_size_ratio=values[0], rng_seed=seed))
+        runs = [run(replace(scenario, probe_strategy=strategy,
+                            cache_size_ratio=values[0], rng_seed=seed))
                 for seed in seeds]
         acc[strategy] = [r.provider_accuracy_pct for r in runs]
         hops[strategy] = [r.hop_count_sum for r in runs]
@@ -346,8 +352,8 @@ def test_criterion_09_churn_trends():
     for strategy in STRATEGIES:
         for churn in churns:
             reports[(strategy, churn)] = [
-                run(scenario_variant(scenario, probe_strategy=strategy,
-                                     cache_update_ratio=churn, rng_seed=seed))
+                run(replace(scenario, probe_strategy=strategy,
+                            cache_update_ratio=churn, rng_seed=seed))
                 for seed in SEEDS]
     elapsed = time.perf_counter() - started
     metrics = [("forwarded", lambda r: r.forwarded_interests),
@@ -377,15 +383,15 @@ def test_criterion_09_churn_trends():
 
 def test_criterion_10_failure_trends():
     scenario, counts = preset_scenario("fig8.cfg")
-    scenario = scenario_variant(scenario, sim_duration=240.0)  # desk scale
+    scenario = replace(scenario, sim_duration=240.0)  # desk scale
     counts = [int(c) for c in counts]
     started = time.perf_counter()
     delay, loss = {}, {}
     for strategy in STRATEGIES:
         for k in counts:
-            runs = [run(scenario_variant(scenario, probe_strategy=strategy,
-                                         rng_seed=seed,
-                                         failures=((scenario.sim_duration / 2, k),)))
+            runs = [run(replace(scenario, probe_strategy=strategy,
+                                rng_seed=seed,
+                                failures=((scenario.sim_duration / 2, k),)))
                     for seed in SEEDS]
             delay[(strategy, k)] = statistics.fmean(r.avg_delay_ms for r in runs)
             loss[(strategy, k)] = statistics.fmean(r.packet_loss_pct for r in runs)

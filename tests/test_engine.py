@@ -7,10 +7,9 @@ import pytest
 from scipy.stats import chisquare
 
 from ccnprobe.cli import data_path
-from ccnprobe.engine import (EV_ISSUE, ConfigError, LinkQueue, Scenario,
-                             Simulation, generate_interest_events,
-                             inject_cache_churn, inject_failure, run,
-                             scenario_variant)
+from ccnprobe.engine import (EV_ISSUE, EV_TIMEOUT, ConfigError, LinkQueue,
+                             Scenario, Simulation, generate_interest_events,
+                             inject_cache_churn, inject_failure, run)
 from ccnprobe.model import ContentName, InterestPacket, content_catalog
 from ccnprobe.node import ContentStore, RouterState
 from ccnprobe.topology import build_spt, load_topology
@@ -369,20 +368,22 @@ edge Y B
 """
 
 
+def quiet_simulation(topology, **overrides):
+    """A 1 s run that issues no interests of its own, and its router ids."""
+    settings = dict(sim_duration=1.0, interest_frequency=0,
+                    contents_per_producer=4, cache_size_ratio=0.5,
+                    link_delay=0.01, link_bandwidth="unlimited")
+    sim = Simulation(Scenario(topology=topology, **{**settings, **overrides}))
+    ids = {name: rid for rid, name in sim.graph.name_of.items()}
+    return sim, ids
+
+
 class TestSharedPackets:
     """Copies of a packet in flight share one object; each hop still sees
     its own probe response and hop count."""
 
-    def quiet_simulation(self, topology, **overrides):
-        sim = Simulation(Scenario(topology=topology, sim_duration=1.0,
-                                  interest_frequency=0, contents_per_producer=4,
-                                  cache_size_ratio=0.5, link_delay=0.01,
-                                  link_bandwidth="unlimited", **overrides))
-        ids = {name: rid for rid, name in sim.graph.name_of.items()}
-        return sim, ids
-
     def test_relays_holding_the_probe_each_write_their_own_copy(self):
-        sim, ids = self.quiet_simulation(DIAMOND_TOPO, forwarding="broadcast")
+        sim, ids = quiet_simulation(DIAMOND_TOPO, forwarding="broadcast")
         s, r1, r2, p = (ids[n] for n in ("S", "R1", "R2", "P"))
         probe = ContentName("P", 1)
         for relay in (r1, r2):
@@ -409,7 +410,7 @@ class TestSharedPackets:
         assert original.probe_response == []
 
     def test_one_data_packet_reaches_two_origins_with_their_own_hop_counts(self):
-        sim, ids = self.quiet_simulation(FORK_TOPO, producer_routing=True)
+        sim, ids = quiet_simulation(FORK_TOPO, producer_routing=True)
         a, b = ids["A"], ids["B"]
         name = ContentName("P", 0)
         sim._push(0.0, EV_ISSUE, a, name, None)
@@ -417,10 +418,10 @@ class TestSharedPackets:
         delivered = []
         deliver = sim.deliver
 
-        def recording(entry, data, now):
-            [(_nonce, issued)] = entry.local_tokens
-            delivered.append((issued, data, data.hop_count))
-            deliver(entry, data, now)
+        def recording(data, issued, expected_provider, now):
+            [issued_at] = issued
+            delivered.append((issued_at, data, data.hop_count))
+            deliver(data, issued, expected_provider, now)
         sim.deliver = recording
 
         report = sim.run()
@@ -428,6 +429,115 @@ class TestSharedPackets:
             (0.0, 2), (0.001, 3)]
         assert delivered[0][1] is delivered[1][1]  # one shared data packet
         assert report.hop_count_sum == 2 + 3
+
+
+# Consumer A with a dead-end relay B and the producer P as neighbors.
+DEAD_END_TOPO = """
+node A consumer
+node B
+node P producer
+edge A B
+edge A P
+"""
+
+# Consumer A, relay B, producer P in a line.
+LINE3_TOPO = """
+node A consumer
+node B
+node P producer
+edge A B
+edge B P
+"""
+
+
+class TestTimeouts:
+    """Every PIT deadline a router sets queues exactly one timeout event."""
+
+    def traced(self, topology, **overrides):
+        """A quiet simulation recording each timeout pushed, as (router,
+        deadline), and each popped, as (router, counted as a timeout)."""
+        sim, ids = quiet_simulation(topology, **overrides)
+        pushed, popped = [], []
+        push, on_timeout_event = sim._push, sim._on_timeout_event
+
+        def recording_push(time, kind, a, b, c):
+            if kind == EV_TIMEOUT:
+                pushed.append((a, time))
+            push(time, kind, a, b, c)
+
+        def recording_pop(now, rid, name, deadline):
+            before = sim.stats.timeout_count
+            on_timeout_event(now, rid, name, deadline)
+            popped.append((rid, sim.stats.timeout_count > before))
+        sim._push = recording_push
+        sim._on_timeout_event = recording_pop
+        return sim, ids, pushed, popped
+
+    def test_aggregated_interests_queue_no_second_timeout(self):
+        sim, ids, pushed, _popped = self.traced(FORK_TOPO, producer_routing=True)
+        a, x, y, b = (ids[n] for n in ("A", "X", "Y", "B"))
+        name = ContentName("P", 0)
+        sim._push(0.0, EV_ISSUE, a, name, None)
+        sim._push(0.001, EV_ISSUE, b, name, None)
+        sim._push(0.002, EV_ISSUE, a, name, None)  # aggregates at A
+        report = sim.run()  # B's interest aggregates at X at 0.021
+        assert report.satisfied_count == 3
+        # One timeout per miss; none for the two aggregated interests, nor
+        # for the producer's hit.
+        assert sorted(rid for rid, _deadline in pushed) == sorted([a, x, b, y])
+
+    def test_no_route_entry_gets_one_timeout_that_fires(self):
+        sim, ids, pushed, popped = self.traced(DEAD_END_TOPO)
+        a, b = ids["A"], ids["B"]
+        sim._push(0.0, EV_ISSUE, a, ContentName("P", 0), None)
+        report = sim.run()
+        # A broadcasts to B and P; B has nowhere to send it on but keeps the
+        # entry, which expires at 0.51. A's entry is satisfied by P.
+        assert [rid for rid, _deadline in pushed] == [a, b]
+        assert pushed[1][1] == pytest.approx(0.51)
+        assert popped == [(a, False), (b, True)]
+        assert report.timeout_count == 1 and report.satisfied_count == 1
+        assert sim.routers[b].pit == {}
+
+    def test_each_origin_retry_queues_one_new_timeout(self):
+        # Deadlines far shorter than a round trip: every try times out.
+        sim, ids, pushed, popped = self.traced(LINE3_TOPO, timeout=0.005)
+        a, b, p = ids["A"], ids["B"], ids["P"]
+        name = ContentName("P", 0)
+        sim.routers[a].fib_update(name, [b, p], 0.0)
+        sim._push(0.0, EV_ISSUE, a, name, None)
+        report = sim.run()
+        # Unicast toward B, unicast retry toward P, one broadcast retry,
+        # then the origin gives up and queues nothing more.
+        at_origin = [deadline for rid, deadline in pushed if rid == a]
+        assert at_origin == pytest.approx([0.005, 0.010, 0.015])
+        assert [rid for rid, counted in popped if counted].count(a) == 3
+        assert report.unsatisfied_timeout == 1
+        assert name not in sim.routers[a].pit
+
+    def test_satisfied_entry_timeout_pops_without_counting(self):
+        sim, ids, pushed, popped = self.traced(FORK_TOPO, producer_routing=True)
+        a, x = ids["A"], ids["X"]
+        sim._push(0.0, EV_ISSUE, a, ContentName("P", 0), None)
+        report = sim.run()
+        assert [rid for rid, _deadline in pushed] == [a, x]
+        assert popped == [(a, False), (x, False)]
+        assert report.timeout_count == 0 and report.satisfied_count == 1
+
+    def test_stale_timeout_leaves_a_newer_entry_alone(self):
+        # One-name content stores: P/1 evicts P/0 at A and X, so A's second
+        # request for P/0 is a miss again, pending when the first one's
+        # timeout pops at 0.5.
+        sim, ids, pushed, popped = self.traced(FORK_TOPO, producer_routing=True,
+                                               cache_size_ratio=0.25)
+        a = ids["A"]
+        for time, seq in ((0.0, 0), (0.1, 1), (0.49, 0)):
+            sim._push(time, EV_ISSUE, a, ContentName("P", seq), None)
+        report = sim.run()
+        assert [deadline for rid, deadline in pushed if rid == a] == pytest.approx(
+            [0.5, 0.6, 0.99])
+        assert popped and not any(counted for _rid, counted in popped)
+        assert report.timeout_count == 0 and report.satisfied_count == 3
 
 
 class TestFailureTotals:

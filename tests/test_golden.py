@@ -14,11 +14,12 @@ changes and give the reason. To print the current digests:
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from ccnprobe.cli import ALL_STRATEGIES, build_scenario, parse_config
-from ccnprobe.engine import run, scenario_variant
+from ccnprobe.engine import run
 from ccnprobe.metrics import MetricsReport
 
 # case -> (preset, overrides). The Abilene presets run 30 simulated
@@ -101,8 +102,8 @@ GOLDEN = {
 
 def digest(case: str, strategy: str) -> str:
     preset, overrides = CASES[case]
-    scenario = scenario_variant(build_scenario(parse_config(preset)),
-                                probe_strategy=strategy, **overrides)
+    scenario = replace(build_scenario(parse_config(preset)),
+                       probe_strategy=strategy, **overrides)
     values = run(scenario).csv_values()
     text = "\n".join(f"{key}={value!r}"
                      for key, value in zip(MetricsReport.CSV_FIELDS, values))

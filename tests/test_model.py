@@ -53,8 +53,7 @@ class TestWireSize:
         assert wire_size(half) == wire_size(full) == 27
 
     def test_telemetry_fields_not_counted(self):
-        interest = InterestPacket(ContentName("P", 0), nonce=1, issue_time=123.0)
-        assert wire_size(interest) == 5
+        # Only data packets carry telemetry (the hop count).
         data = DataPacket(ContentName("P", 0), provider_id=1, payload_size=0,
                           hop_count=9)
         assert wire_size(data) == 5
@@ -140,7 +139,7 @@ def test_packet_clone_is_independent():
     clone.probe_response.append(9)
     assert interest.probe_response == [1, 2, 3, 4, 5]
     assert clone == InterestPacket(interest.name, interest.nonce, interest.probe,
-                                   [1, 2, 3, 4, 5, 9], interest.issue_time)
+                                   [1, 2, 3, 4, 5, 9])
     data = DataPacket(ContentName("P", 0), provider_id=2, probe_response=[1])
     dclone = data.clone()
     dclone.probe_response.append(2)

@@ -45,7 +45,8 @@ def interest(text, nonce=1, probe=None, response=()):
 
 
 class Recorder:
-    """A handler's `out`: records every transmit and local delivery in order."""
+    """A handler's `out`: records every transmit, local delivery and queued
+    timeout in order."""
 
     def __init__(self):
         self.calls = []
@@ -53,8 +54,11 @@ class Recorder:
     def transmit(self, src, iface, packet, now):
         self.calls.append(("transmit", src, iface, packet, now))
 
-    def deliver(self, entry, data, now):
-        self.calls.append(("deliver", entry, data, now))
+    def deliver(self, data, issued, expected_provider, now):
+        self.calls.append(("deliver", data, issued, expected_provider, now))
+
+    def arm_timeout(self, rid, entry):
+        self.calls.append(("arm_timeout", rid, entry))
 
     @property
     def sends(self):
@@ -343,10 +347,11 @@ class TestOnInterest:
         out = Recorder()
         assert router.on_interest(interest("n0/1"), LOCAL, 1.0, random.Random(0),
                                   out) is None
-        assert [c[0] for c in out.calls] == ["deliver"]
-        _kind, entry, data, now = out.calls[0]
-        assert entry.local_tokens == [(1, 1.0)] and entry.expected_provider is None
-        assert isinstance(data, DataPacket) and now == 1.0
+        [(kind, data, issued, expected_provider, now)] = out.calls
+        assert kind == "deliver" and isinstance(data, DataPacket)
+        assert data.name == name("n0/1") and data.provider_id == 0
+        # Issued now, sent toward no provider, and no PIT state left behind.
+        assert issued == (1.0,) and expected_provider is None and now == 1.0
         assert router.pit == {}
 
     def test_pending_name_aggregates_and_drops(self):
@@ -376,7 +381,9 @@ class TestOnInterest:
         router = make_router()
         out = Recorder()
         assert router.on_interest(interest("X/0"), 1, 1.0, random.Random(0), out) is None
-        assert [c[0] for c in out.calls] == ["transmit"] * 2
+        # The timeout is queued once, after the sends.
+        assert out.calls[2:] == [("arm_timeout", 0, router.pit[name("X/0")])]
+        assert [c[0] for c in out.calls] == ["transmit", "transmit", "arm_timeout"]
         assert len(out.forwards) == 2
         assert out.ifaces == [2, 3]
 
@@ -453,7 +460,9 @@ class TestOnInterest:
         router = make_router(topo="node n0\nnode n1\nedge n0 n1\n")
         out = Recorder()
         reason = router.on_interest(interest("X/0"), 1, 1.0, random.Random(0), out)
-        assert reason == "no-route" and out.calls == []
+        # Nothing is sent, but the entry stays pending until it times out.
+        assert reason == "no-route"
+        assert out.calls == [("arm_timeout", 0, router.pit[name("X/0")])]
 
     def test_broadcast_forwarding_ignores_fib(self):
         router = make_router(forwarding=Forwarding.BROADCAST)
@@ -490,14 +499,14 @@ class TestOnData:
     def test_fan_out_covers_incoming_set_and_removes_entry(self):
         router = make_router()
         entry = PitEntry(name("X/0"), 1.5, incoming={1, 2},
-                         local_tokens=[(42, 1.0)])
+                         local_issued=[1.0], expected_provider=4)
         router.pit[name("X/0")] = entry
         data = DataPacket(name("X/0"), provider_id=4, payload_size=64)
         out = Recorder()
         assert router.on_data(data, 3, 1.2, out) is None
         assert [c[0] for c in out.calls] == ["deliver", "transmit", "transmit"]
         assert out.sends == [(1, data), (2, data)]
-        assert out.calls[0][1] is entry
+        assert out.calls[0] == ("deliver", data, [1.0], 4, 1.2)
         assert name("X/0") not in router.pit
 
     def test_payload_cached_and_provider_recorded(self):
@@ -536,7 +545,7 @@ class TestOnTimeout:
     def prepared_router(self, providers):
         router = make_router()
         router.fib_update(name("X/0"), providers, 0.0)
-        entry = PitEntry(name("X/0"), 0.5, local_tokens=[(1, 0.0)],
+        entry = PitEntry(name("X/0"), 0.5, local_issued=[0.0],
                          expected_provider=providers[0], seen_nonces={1})
         router.pit[name("X/0")] = entry
         return router, entry
@@ -546,7 +555,8 @@ class TestOnTimeout:
         router, entry = self.prepared_router([4, 1])
         out = Recorder()
         assert router.on_timeout(name("X/0"), 0.5, random.Random(0), out) is None
-        assert len(out.calls) == 1 and len(out.forwards) == 1
+        assert len(out.calls) == 2 and len(out.forwards) == 1
+        assert out.calls[1] == ("arm_timeout", 0, entry)
         [(iface, packet)] = out.sends
         assert iface == 1
         assert entry.expected_provider == 1
@@ -561,6 +571,7 @@ class TestOnTimeout:
         router.on_timeout(name("X/0"), 0.5, random.Random(0), out)
         assert out.ifaces == [1, 2, 3]
         assert entry.broadcast_retry_used
+        assert out.calls[-1] == ("arm_timeout", 0, entry) and entry.deadline == 1.0
 
     def test_second_exhaustion_gives_up_unsatisfied(self):
         router, entry = self.prepared_router([4])
@@ -569,7 +580,7 @@ class TestOnTimeout:
         reason = router.on_timeout(name("X/0"), 1.0, random.Random(0), out)
         assert reason == "unsatisfied" and out.calls == []
         # The engine counts the given-up requests from the entry it holds.
-        assert entry.local_tokens == [(1, 0.0)]
+        assert entry.local_issued == [0.0]
         assert name("X/0") not in router.pit
 
     def test_new_provider_learned_after_broadcast_still_used(self):

@@ -100,7 +100,8 @@ def pool_random(router: RouterState, rng: random.Random, sending) -> ContentName
 
 
 class Recorder:
-    """A handler's `out`: records every transmit and local delivery."""
+    """A handler's `out`: records every transmit, local delivery and queued
+    timeout."""
 
     def __init__(self):
         self.calls = []
@@ -108,8 +109,11 @@ class Recorder:
     def transmit(self, src, iface, packet, now):
         self.calls.append(("transmit", src, iface, packet, now))
 
-    def deliver(self, entry, data, now):
-        self.calls.append(("deliver", entry, data, now))
+    def deliver(self, data, issued, expected_provider, now):
+        self.calls.append(("deliver", data, issued, expected_provider, now))
+
+    def arm_timeout(self, rid, entry):
+        self.calls.append(("arm_timeout", rid, entry))
 
 
 def check_selection(router: RouterState, sending, seed: int) -> None:
