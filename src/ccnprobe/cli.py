@@ -14,10 +14,10 @@ from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
-from .engine import ConfigError, Scenario, Simulation, run
+from .engine import ConfigError, Scenario, Simulation, check_failure_total, run
 from .metrics import AccountingError, MetricsReport, classify_qos
 from .node import ProbeStrategy
-from .topology import TopologyError
+from .topology import TopologyError, load_topology
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,11 +61,7 @@ def _parse_optional_float(text: str) -> float | None:
 
 
 def _parse_bandwidth(text: str) -> float | str | None:
-    if text.lower() in ("none", "default", "file"):
-        return None
-    if text.lower() == "unlimited":
-        return "unlimited"
-    return float(text)
+    return "unlimited" if text.lower() == "unlimited" else _parse_optional_float(text)
 
 
 def _parse_optional_int(text: str) -> int | None:
@@ -121,6 +117,23 @@ def data_path(name: str) -> Path | None:
     return None
 
 
+def _parse_item(text: str, where: str) -> tuple[str, object]:
+    """The key and typed value of a `key = value` config line or --set item.
+
+    A malformed item, an unknown key or a bad value fails naming `where`.
+    """
+    key, sep, value = text.partition("=")
+    key, value = key.strip(), value.strip()
+    if not sep or not key:
+        raise ConfigError(f"{where}: expected `key = value`")
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    try:
+        return key, CONFIG_KEYS[key](value)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from None
+
+
 def parse_config(path: str | Path) -> dict:
     """Read a `key = value` config file into a typed dict.
 
@@ -132,36 +145,23 @@ def parse_config(path: str | Path) -> dict:
         if bundled is None:
             raise ConfigError(f"config file not found: {path}")
         p = bundled
-    config: dict = {"_config_dir": p.parent}
+    config: dict = {}
     for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key:
-            raise ConfigError(f"{p.name}:{lineno}: expected `key = value`")
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{p.name}:{lineno}: unknown key {key!r}")
+        key, value = _parse_item(line, f"{p.name}:{lineno}")
         if key in config:
             raise ConfigError(f"{p.name}:{lineno}: duplicate key {key!r}")
-        try:
-            config[key] = CONFIG_KEYS[key](value)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"{p.name}:{lineno}: bad value for {key}: {exc}") from None
+        config[key] = value
+    config["_config_dir"] = p.parent
     return config
 
 
 def apply_overrides(config: dict, overrides: list[str]) -> None:
     for item in overrides:
-        key, sep, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or key not in CONFIG_KEYS:
-            raise ConfigError(f"bad --set {item!r}; expected key=value with a known key")
-        try:
-            config[key] = CONFIG_KEYS[key](value)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"bad --set value for {key}: {exc}") from None
+        key, value = _parse_item(item, f"--set {item!r}")
+        config[key] = value
 
 
 def resolve_topology(config: dict) -> str:
@@ -241,11 +241,12 @@ def _axis_variant(scenario: Scenario, axis: str, value: str) -> tuple[Scenario, 
 
 
 def _run_point(args: tuple) -> list:
-    """One (strategy, axis value, seed) simulation; returns a sweep.csv row."""
-    scenario, strategy, axis, axis_value, seed = args
+    """One (strategy, seed) simulation; returns its run.csv row, or its
+    sweep.csv row when `axis_columns` holds the axis and its value."""
+    scenario, strategy, seed, axis_columns = args
     sc = replace(scenario, probe_strategy=strategy, rng_seed=seed)
     report = run(sc)
-    return [strategy, axis, axis_value, seed, scenario_hash(sc),
+    return [strategy, *axis_columns, seed, scenario_hash(sc),
             *report.csv_values()]
 
 
@@ -276,12 +277,8 @@ def cmd_run(args) -> int:
     check_ranges(scenario, args.force)
     out_dir = Path(args.out or config.get("output_dir", "."))
 
-    rows = []
-    for i in range(repeats):
-        sc = replace(scenario, rng_seed=scenario.rng_seed + i)
-        report = run(sc)
-        rows.append([sc.probe_strategy, sc.rng_seed, scenario_hash(sc),
-                     *report.csv_values()])
+    rows = [_run_point((scenario, scenario.probe_strategy, scenario.rng_seed + i, ()))
+            for i in range(repeats)]
     _write_csv(out_dir / "run.csv", RUN_HEADER, rows)
 
     means = [statistics.fmean(float(r[i]) for r in rows)
@@ -311,14 +308,19 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"unknown strategy {s!r}; expected one of {ALL_STRATEGIES}")
     out_dir = Path(args.out or config.get("output_dir", "."))
 
-    points = []
-    for strategy in strategies:
-        for value in values:
-            variant, axis_value = _axis_variant(scenario, axis, value)
-            check_ranges(variant, args.force)
-            for i in range(repeats):
-                points.append((variant, strategy, axis, axis_value,
-                               scenario.rng_seed + i))
+    # Every point is checked before the first one runs.
+    graph = load_topology(scenario.topology)
+    variants = []
+    for value in values:
+        variant, axis_value = _axis_variant(scenario, axis, value)
+        check_ranges(variant, args.force)
+        variant.validate()
+        check_failure_total(variant, graph)
+        variants.append((variant, (axis, axis_value)))
+    points = [(variant, strategy, scenario.rng_seed + i, axis_columns)
+              for strategy in strategies
+              for variant, axis_columns in variants
+              for i in range(repeats)]
 
     # More workers than points or cores would only idle or contend.
     jobs = min(args.jobs, len(points), os.cpu_count() or 1)
@@ -362,12 +364,21 @@ def _load_sweep(path: Path) -> list[dict]:
     return rows
 
 
-def _group_means(rows: list[dict], metric: str) -> dict[tuple[str, float], float]:
-    groups: dict[tuple[str, float], list[float]] = {}
+def _means(rows: list[dict], metric: str, key=lambda row: row["strategy"]) -> dict:
+    """Mean of `metric` over the rows of each group that `key` names."""
+    groups: dict = {}
     for row in rows:
-        key = (row["strategy"], float(row["axis_value"]))
-        groups.setdefault(key, []).append(float(row[metric]))
-    return {key: statistics.fmean(vals) for key, vals in groups.items()}
+        groups.setdefault(key(row), []).append(float(row[metric]))
+    return {k: statistics.fmean(vals) for k, vals in groups.items()}
+
+
+def _write_table(path: Path, lines: list[str]) -> Path:
+    """Write a markdown table to `path` and echo it to stdout."""
+    text = "\n".join(lines) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    print(text, end="")
+    return path
 
 
 def _report_figure(rows: list[dict], figure: str, out_dir: Path) -> list[Path]:
@@ -378,7 +389,8 @@ def _report_figure(rows: list[dict], figure: str, out_dir: Path) -> list[Path]:
             f"{figure} needs a sweep over {axis!r}, found {sorted(seen_axes)}")
     written = []
     for metric in metrics:
-        means = _group_means(rows, metric)
+        means = _means(rows, metric,
+                       lambda row: (row["strategy"], float(row["axis_value"])))
         out = [[strategy, value, mean]
                for (strategy, value), mean in sorted(means.items())]
         path = out_dir / f"{figure}_{metric}.csv"
@@ -387,28 +399,16 @@ def _report_figure(rows: list[dict], figure: str, out_dir: Path) -> list[Path]:
     return written
 
 
-def _strategy_means(rows: list[dict], metric: str) -> dict[str, float]:
-    groups: dict[str, list[float]] = {}
-    for row in rows:
-        groups.setdefault(row["strategy"], []).append(float(row[metric]))
-    return {s: statistics.fmean(vals) for s, vals in groups.items()}
-
-
 def _report_table2(rows: list[dict], out_dir: Path) -> Path:
-    acc = _strategy_means(rows, "provider_accuracy_pct")
-    hops = _strategy_means(rows, "hop_count_sum")
-    hop_mean = _strategy_means(rows, "hop_count_mean")
+    acc = _means(rows, "provider_accuracy_pct")
+    hops = _means(rows, "hop_count_sum")
+    hop_mean = _means(rows, "hop_count_mean")
     lines = ["| Strategy | Provider accuracy (%) | Routing hops (total) | Routing hops (mean) |",
              "| --- | --- | --- | --- |"]
     for strategy in sorted(acc):
         lines.append(f"| {strategy} | {acc[strategy]:.2f} | "
                      f"{hops[strategy]:.6g} | {hop_mean[strategy]:.3f} |")
-    text = "\n".join(lines) + "\n"
-    path = out_dir / "table2.md"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    print(text, end="")
-    return path
+    return _write_table(out_dir / "table2.md", lines)
 
 
 def _report_table3(rows: list[dict], out_dir: Path) -> Path:
@@ -416,29 +416,18 @@ def _report_table3(rows: list[dict], out_dir: Path) -> Path:
                ("Packet loss (%)", "packet_loss_pct", "packet_loss"),
                ("Delay (ms)", "avg_delay_ms", "delay"),
                ("Jitter (ms)", "jitter_ms", "jitter")]
-    strategies = sorted({row["strategy"] for row in rows})
-    per_strategy = {}
-    for strategy in strategies:
-        sub = [r for r in rows if r["strategy"] == strategy]
-        report = MetricsReport(
-            throughput_pkt_s=statistics.fmean(float(r["throughput_pkt_s"]) for r in sub),
-            packet_loss_pct=statistics.fmean(float(r["packet_loss_pct"]) for r in sub),
-            avg_delay_ms=statistics.fmean(float(r["avg_delay_ms"]) for r in sub),
-            jitter_ms=statistics.fmean(float(r["jitter_ms"]) for r in sub))
-        per_strategy[strategy] = (report, classify_qos(report))
+    means = {field: _means(rows, field) for _label, field, _qos_key in metrics}
+    strategies = sorted(means["throughput_pkt_s"])
+    qos = {s: classify_qos(MetricsReport(**{field: m[s] for field, m in means.items()}))
+           for s in strategies}
     header = "| QoS parameter | " + " | ".join(strategies) + " | Category |"
     lines = [header, "|" + " --- |" * (len(strategies) + 2)]
     for label, field, qos_key in metrics:
-        values = [f"{getattr(per_strategy[s][0], field):.6g}" for s in strategies]
-        cats = [per_strategy[s][1][qos_key] for s in strategies]
+        values = [f"{means[field][s]:.6g}" for s in strategies]
+        cats = [qos[s][qos_key] for s in strategies]
         cat = cats[0] if len(set(cats)) == 1 else "/".join(cats)
         lines.append(f"| {label} | " + " | ".join(values) + f" | {cat} |")
-    text = "\n".join(lines) + "\n"
-    path = out_dir / "table3.md"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    print(text, end="")
-    return path
+    return _write_table(out_dir / "table3.md", lines)
 
 
 def cmd_report(args) -> int:
@@ -446,14 +435,14 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out or ".")
     if args.figure in FIGURES:
         written = _report_figure(rows, args.figure, out_dir)
-        for path in written:
-            print(f"wrote {path}")
     elif args.figure == "table2":
-        print(f"wrote {_report_table2(rows, out_dir)}")
+        written = [_report_table2(rows, out_dir)]
     elif args.figure == "table3":
-        print(f"wrote {_report_table3(rows, out_dir)}")
+        written = [_report_table3(rows, out_dir)]
     else:
         raise ConfigError(f"unknown figure {args.figure!r}")
+    for path in written:
+        print(f"wrote {path}")
     return EXIT_OK
 
 

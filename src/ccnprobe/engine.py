@@ -189,10 +189,20 @@ def inject_cache_churn(routers: list[RouterState], ratio: float,
         if count == 0 or ratio == 0.0:
             continue
         k = math.ceil(ratio * count)
-        for name in rng.sample(router.cs.names(), k):
+        for name in rng.sample(list(router.cs.entries), k):
             router.evict_cached(name)
         evicted += k
     return evicted
+
+
+def check_failure_total(scenario: Scenario, graph: Graph) -> None:
+    """Reject failure events that together crash more routers than `graph`
+    has eligible: victims never return, so all events draw on one pool."""
+    failed = sum(count for _time, count in scenario.failures)
+    eligible = len(graph.pure_routers())
+    if failed > eligible:
+        raise ConfigError(f"cannot fail {failed} routers in total; only "
+                          f"{eligible} eligible")
 
 
 def inject_failure(graph: Graph, count: int, rng: random.Random,
@@ -236,11 +246,7 @@ class Simulation:
             scenario.contents_per_producer)
         cs_capacity = max(1, int(scenario.cache_size_ratio * len(self.catalog) + 1e-9))
 
-        # Victims never return, so all failure events draw on one pool.
-        failed = sum(count for _time, count in scenario.failures)
-        if failed > len(graph.pure_routers()):
-            raise ConfigError(f"cannot fail {failed} routers in total; only "
-                              f"{len(graph.pure_routers())} eligible")
+        check_failure_total(scenario, graph)
 
         spts = build_all_spts(graph)
         strategy = ProbeStrategy(scenario.probe_strategy)
@@ -318,12 +324,10 @@ class Simulation:
     # -- event handlers -------------------------------------------------------
 
     def _on_issue(self, now: float, rid: RouterId, name: ContentName) -> None:
-        router = self.routers.get(rid)
-        if router is None:
-            return
+        # Only pure routers fail, so the issuing consumer is always present.
         self.stats.issued_interests += 1
-        router.on_interest(InterestPacket(name, next(self.nonces)), LOCAL, now,
-                           self.rng, self)
+        self.routers[rid].on_interest(InterestPacket(name, next(self.nonces)),
+                                      LOCAL, now, self.rng, self)
 
     def _on_arrival(self, now: float, packet, key: tuple[RouterId, RouterId],
                     hops: int) -> None:
@@ -398,7 +402,7 @@ class Simulation:
         stats.hop_count_sum += data.hop_count
         for t0 in issued:
             stats.satisfied_count += 1
-            stats.add_response(now - t0)
+            stats.response_time_samples.append(now - t0)
         if expected_provider is not None:
             stats.expected_provider_total += 1
             if expected_provider == data.provider_id:

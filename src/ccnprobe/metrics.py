@@ -99,7 +99,6 @@ class MetricsReport:
     avg_response_time_s: float = 0.0
     hop_count_mean: float = 0.0
     provider_accuracy_pct: float = 0.0
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def forwarded_interests(self) -> int:
@@ -114,9 +113,6 @@ class MetricsReport:
     def delay_samples(self) -> list[float]:
         """The response times in milliseconds."""
         return [s * 1000.0 for s in self.response_time_samples]
-
-    def add_response(self, seconds: float) -> None:
-        self.response_time_samples.append(seconds)
 
     def finalize(self) -> "MetricsReport":
         """Compute the derived metrics and audit the conservation identities."""
@@ -137,11 +133,7 @@ class MetricsReport:
                                  if self.duration > 0 else 0.0)
         delays = self.delay_samples
         self.avg_delay_ms = average_delay(delays)
-        if not delays:
-            self.warnings.append("no-delay-samples")
         self.jitter_ms = jitter(delays)
-        if len(delays) < 2:
-            self.warnings.append("jitter-undefined")
         self.avg_response_time_s = average_delay(self.response_time_samples)
         self.hop_count_mean = (self.hop_count_sum / self.delivered_data
                                if self.delivered_data else 0.0)

@@ -45,12 +45,6 @@ class ContentStore:
         self.policy = policy
         self.entries: OrderedDict[ContentName, None] = OrderedDict()
 
-    def __contains__(self, name: ContentName) -> bool:
-        return name in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def touch(self, name: ContentName) -> None:
         if self.policy == "lru" and name in self.entries:
             self.entries.move_to_end(name)
@@ -73,9 +67,6 @@ class ContentStore:
 
     def remove(self, name: ContentName) -> None:
         self.entries.pop(name, None)
-
-    def names(self) -> list[ContentName]:
-        return list(self.entries)
 
 
 @dataclass(slots=True)
@@ -561,10 +552,9 @@ class RouterState:
         nonce = next(self._nonces)
         interest = InterestPacket(name, nonce)
         entry.seen_nonces.add(nonce)
-        if self.probe_strategy != ProbeStrategy.NONE:
-            attached = self.select_probe(now, rng, name)
-            if attached is not None:
-                interest.probe = attached
+        attached = self.select_probe(now, rng, name)
+        if attached is not None:
+            interest.probe = attached
         if self.forwarding == Forwarding.BEST_ROUTE:
             best = self._route(entry, now, None)
             if best is not None:

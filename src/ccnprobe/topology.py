@@ -39,10 +39,6 @@ class Graph:
     def nodes(self) -> list[RouterId]:
         return sorted(self.name_of)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.links) // 2
-
     def add_node(self, name: str, roles: frozenset[str]) -> RouterId:
         if name in self.id_of:
             raise TopologyError(f"duplicate node {name!r}")
@@ -68,9 +64,6 @@ class Graph:
         self.adj[a].sort()
         self.adj[b].sort()
 
-    def link(self, a: RouterId, b: RouterId) -> Link:
-        return self.links[(a, b)]
-
     def nodes_with_role(self, role: str) -> list[RouterId]:
         return [rid for rid in self.nodes if role in self.roles[rid]]
 
@@ -88,7 +81,6 @@ class Graph:
 
 @dataclass(frozen=True, slots=True)
 class SPTEntry:
-    destination: RouterId
     cost: int                    # hops
     outgoing_interface: RouterId  # adjacent first hop
 
@@ -99,8 +91,7 @@ class SPTable:
     No entry exists for the owner itself or for unreachable routers.
     """
 
-    def __init__(self, owner: RouterId, entries: dict[RouterId, SPTEntry]):
-        self.owner = owner
+    def __init__(self, entries: dict[RouterId, SPTEntry]):
         self.entries = entries
 
     def cost(self, destination: RouterId) -> int | None:
@@ -110,9 +101,6 @@ class SPTable:
     def first_hop(self, destination: RouterId) -> RouterId | None:
         entry = self.entries.get(destination)
         return entry.outgoing_interface if entry is not None else None
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def build_spt(graph: Graph, source: RouterId) -> SPTable:
@@ -139,9 +127,9 @@ def build_spt(graph: Graph, source: RouterId) -> SPTable:
                 # lower-id first hop.
                 if first[node] < first[nb]:
                     first[nb] = first[node]
-    entries = {rid: SPTEntry(rid, dist[rid], first[rid])
+    entries = {rid: SPTEntry(dist[rid], first[rid])
                for rid in dist if rid != source}
-    return SPTable(source, entries)
+    return SPTable(entries)
 
 
 def build_all_spts(graph: Graph) -> dict[RouterId, SPTable]:

@@ -9,7 +9,7 @@ from ccnprobe.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_OK, RUN_HEADER,
                           SWEEP_HEADER, apply_overrides, build_scenario,
                           check_ranges, data_path, main, parse_config,
                           scenario_hash)
-from ccnprobe.engine import ConfigError, Scenario
+from ccnprobe.engine import ConfigError, Scenario, Simulation
 
 SMALL_CFG = """
 # test scenario
@@ -360,6 +360,27 @@ class TestSweepArguments:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
                      "--axis", "failures", "--values", "two"]) == EXIT_CONFIG
         assert "failures" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--config", "fig6.cfg", "--force", "--values", "0.1", "0.2", "1.5"],
+         "cache_size_ratio out of [0,1]: 1.5"),
+        (["--config", "fig8.cfg", "--axis", "failures", "--values", "1", "40",
+          "--force"], "cannot fail 40 routers in total"),
+    ], ids=["cache-ratio-out-of-range", "failure-total-too-high"])
+    def test_bad_point_exits_2_before_any_point_runs(self, tmp_path, monkeypatch,
+                                                      capsys, argv, message):
+        runs = []
+
+        def refuse(sim):
+            runs.append(sim)
+            pytest.fail("a point ran before every point was checked")
+
+        monkeypatch.setattr(Simulation, "run", refuse)
+        out = tmp_path / "out"
+        assert main(["sweep", *argv, "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+        assert runs == []
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2_without_output(self, cfg, tmp_path, jobs):

@@ -139,7 +139,7 @@ class TestFinalize:
         report.delivered_data = 3
         report.hop_count_sum = 6
         for s in (0.1, 0.2, 0.3):
-            report.add_response(s)
+            report.response_time_samples.append(s)
         return report
 
     def test_derived_values(self):
@@ -172,8 +172,6 @@ class TestFinalize:
         report = MetricsReport(duration=10.0).finalize()
         assert report.avg_delay_ms == 0.0
         assert report.jitter_ms == 0.0
-        assert "no-delay-samples" in report.warnings
-        assert "jitter-undefined" in report.warnings
 
     def test_csv_values_align_with_fields(self):
         report = self.complete_report().finalize()

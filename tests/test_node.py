@@ -82,7 +82,7 @@ class TestContentStore:
         cs.insert(name("P/1"))
         evicted = cs.insert(name("P/2"))
         assert evicted == name("P/0")
-        assert name("P/1") in cs and name("P/2") in cs
+        assert name("P/1") in cs.entries and name("P/2") in cs.entries
 
     def test_lru_access_protects_entry(self):
         cs = ContentStore(2, "lru")
@@ -106,7 +106,7 @@ class TestContentStore:
             cs.insert(name("P/1"))
             assert cs.insert(name("P/0")) is None
             # refreshed entry is now the newest in replacement order
-            assert cs.names() == [name("P/1"), name("P/0")]
+            assert list(cs.entries) == [name("P/1"), name("P/0")]
             assert cs.insert(name("P/2")) == name("P/1")
 
     def test_entries_hold_bare_names(self):
@@ -118,7 +118,7 @@ class TestContentStore:
         cs = ContentStore(3, "lru")
         for i in range(50):
             cs.insert(name(f"P/{i}"))
-            assert len(cs) <= 3
+            assert len(cs.entries) <= 3
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -494,7 +494,7 @@ class TestOnData:
         out = Recorder()
         assert router.on_data(data, 3, 1.2, out) == "unsolicited"
         assert out.calls == []
-        assert name("X/0") not in router.cs
+        assert name("X/0") not in router.cs.entries
 
     def test_fan_out_covers_incoming_set_and_removes_entry(self):
         router = make_router()
@@ -514,7 +514,7 @@ class TestOnData:
         router.pit[name("X/0")] = PitEntry(name("X/0"), 1.5, incoming={1})
         data = DataPacket(name("X/0"), provider_id=4, payload_size=64)
         router.on_data(data, 3, 1.2, Recorder())
-        assert name("X/0") in router.cs
+        assert name("X/0") in router.cs.entries
         assert router.fib[name("X/0")].providers == [4]
 
     def test_probe_response_naming_this_router_is_not_recorded(self):
@@ -630,7 +630,7 @@ def test_table_capacity_bounds_hold_under_random_operations():
             router.fib_update(pick, [rng.randrange(1, 6)], now)
         else:
             router.select_best_provider(pick, now=now)
-        assert len(router.cs) <= 4
+        assert len(router.cs.entries) <= 4
         assert len(router.fib) <= 6
 
 

@@ -47,7 +47,7 @@ class TestLoadTopology:
     def test_abilene_shape(self):
         graph = load_topology(data_path("abilene.topo"))
         assert len(graph.nodes) == 12
-        assert graph.edge_count == 15
+        assert len(graph.links) // 2 == 15
         assert len(graph.producers()) == 12
         assert len(graph.consumers()) == 12
         assert graph.pure_routers() == []
@@ -64,23 +64,23 @@ class TestLoadTopology:
     def test_two_node_file(self):
         graph = load_topology("node A\nnode B\nedge A B\n")
         assert len(graph.nodes) == 2
-        assert graph.edge_count == 1
+        assert len(graph.links) // 2 == 1
 
     def test_default_link_parameters(self):
         graph = load_topology("node A\nnode B\nedge A B\n")
-        link = graph.link(0, 1)
+        link = graph.links[(0, 1)]
         assert link.delay == 1.0
         assert link.bandwidth is None
 
     def test_explicit_link_parameters(self):
         graph = load_topology("node A\nnode B\nedge A B 0.25 1024\n")
-        link = graph.link(0, 1)
+        link = graph.links[(0, 1)]
         assert link.delay == 0.25
         assert link.bandwidth == 1024.0
 
     def test_unlimited_keyword(self):
         graph = load_topology("node A\nnode B\nedge A B 0.25 unlimited\n")
-        assert graph.link(0, 1).bandwidth is None
+        assert graph.links[(0, 1)].bandwidth is None
 
     def test_roles_default_to_router(self):
         graph = load_topology("node A\nnode B producer consumer\nedge A B\n")
@@ -89,7 +89,7 @@ class TestLoadTopology:
 
     def test_comments_and_blank_lines(self):
         graph = load_topology("# hi\n\nnode A\nnode B # inline\nedge A B\n")
-        assert graph.edge_count == 1
+        assert len(graph.links) // 2 == 1
 
     @pytest.mark.parametrize("text,fragment", [
         ("node A\nedge A B\n", "line 2"),
@@ -245,4 +245,4 @@ class TestApplyFailure:
         graph = load_topology(PATH_GRAPH)
         apply_failure(graph, 1)
         assert len(graph.nodes) == 4
-        assert graph.edge_count == 3
+        assert len(graph.links) // 2 == 3
