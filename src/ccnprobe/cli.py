@@ -14,7 +14,7 @@ from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
-from .engine import ConfigError, Scenario, Simulation, check_failure_total, run
+from .engine import ConfigError, Scenario, check_failure_total, run
 from .metrics import AccountingError, MetricsReport, classify_qos
 from .node import ProbeStrategy
 from .topology import TopologyError, load_topology
@@ -202,6 +202,15 @@ def check_ranges(scenario: Scenario, force: bool) -> None:
         raise ConfigError("; ".join(problems) + " (use --force to override)")
 
 
+def check_point(scenario: Scenario, force: bool) -> None:
+    """Every check a point must pass before it runs, without building a
+    simulation: experiment ranges, the scenario's own checks, the topology
+    file, and the failure total against that topology."""
+    check_ranges(scenario, force)
+    scenario.validate()
+    check_failure_total(scenario, load_topology(scenario.topology))
+
+
 def scenario_hash(scenario: Scenario) -> str:
     digest = hashlib.sha256(scenario.canonical().encode()).hexdigest()
     return digest[:12]
@@ -265,8 +274,7 @@ def load(args) -> tuple[dict, Scenario, int]:
 
 def cmd_validate(args) -> int:
     _config, scenario, _repeats = load(args)
-    check_ranges(scenario, args.force)
-    Simulation(scenario)  # every construction check; no event runs
+    check_point(scenario, args.force)
     print(f"ok: scenario {scenario_hash(scenario)} "
           f"({scenario.probe_strategy}, topology {Path(scenario.topology).name})")
     return EXIT_OK
@@ -309,13 +317,10 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out or config.get("output_dir", "."))
 
     # Every point is checked before the first one runs.
-    graph = load_topology(scenario.topology)
     variants = []
     for value in values:
         variant, axis_value = _axis_variant(scenario, axis, value)
-        check_ranges(variant, args.force)
-        variant.validate()
-        check_failure_total(variant, graph)
+        check_point(variant, args.force)
         variants.append((variant, (axis, axis_value)))
     points = [(variant, strategy, scenario.rng_seed + i, axis_columns)
               for strategy in strategies

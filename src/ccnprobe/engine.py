@@ -6,8 +6,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 
@@ -18,7 +19,7 @@ from .node import ContentStore, Forwarding, PitEntry, ProbeStrategy, RouterState
 from .topology import Graph, SPTable, apply_failure, build_all_spts, load_topology
 
 # Event kinds; pop order at equal timestamps follows push order via seq.
-EV_END, EV_FAILURE, EV_CHURN, EV_ISSUE, EV_TIMEOUT, EV_ARRIVAL = range(6)
+EV_END, EV_FAILURE, EV_SECOND, EV_ISSUE, EV_TIMEOUT, EV_ARRIVAL = range(6)
 
 
 class ConfigError(ValueError):
@@ -149,28 +150,60 @@ def schedule_transmission(link: LinkQueue, wire_bytes: int,
     return done + link.delay
 
 
+class IssuePlan(Sequence):
+    """Every consumer interest of a run as `(time, consumer, name)` triples,
+    in draw order, held in three arrays: ~20 bytes an issue, and no Python
+    object per issue until one is read. A name is its index in `catalog`.
+    """
+
+    __slots__ = ("times", "consumers", "names", "catalog")
+
+    def __init__(self, times: array, consumers: array, names: array,
+                 catalog: list[ContentName]):
+        self.times = times
+        self.consumers = consumers
+        self.names = names
+        self.catalog = catalog
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return IssuePlan(self.times[index], self.consumers[index],
+                             self.names[index], self.catalog)
+        return (self.times[index], self.consumers[index],
+                self.catalog[self.names[index]])
+
+    def __iter__(self) -> Iterator[tuple[float, RouterId, ContentName]]:
+        return zip(self.times, self.consumers,
+                   map(self.catalog.__getitem__, self.names))
+
+
 def generate_interest_events(consumers: list[RouterId],
                              catalog: list[ContentName],
                              scenario: Scenario,
-                             rng: random.Random,
-                             ) -> list[tuple[float, RouterId, ContentName]]:
+                             rng: random.Random) -> IssuePlan:
     """Issue times and names for every consumer interest of the run.
 
     Each consumer sends `interest_frequency` interests per simulated second
     at uniform offsets within the second; names are drawn uniformly from
-    the whole catalog.
+    the whole catalog. Issues come grouped by second, in draw order.
     """
-    events = []
+    times, names = array("d"), array("I")
     if not catalog:
-        return events
+        return IssuePlan(times, array("q"), names, catalog)
     n = len(catalog)
-    for second in range(int(scenario.sim_duration)):
-        for consumer in consumers:
-            for _ in range(scenario.interest_frequency):
-                t = second + rng.random()
-                name = catalog[rng.randrange(n)]
-                events.append((t, consumer, name))
-    return events
+    draw, pick = rng.random, rng.randrange
+    add_time, add_name = times.append, names.append
+    # One second's issuers in draw order: each consumer, frequency times.
+    issuers = [c for c in consumers for _ in range(scenario.interest_frequency)]
+    seconds = int(scenario.sim_duration)
+    for second in range(seconds):
+        for _ in issuers:
+            add_time(second + draw())
+            add_name(pick(n))
+    return IssuePlan(times, array("q", issuers) * seconds, names, catalog)
 
 
 def inject_cache_churn(routers: list[RouterState], ratio: float,
@@ -226,7 +259,10 @@ class Simulation:
     """A single deterministic run of one scenario.
 
     All randomness flows from one generator seeded with the scenario seed;
-    event ordering is total via (time, push-sequence). The simulation is
+    event ordering is total via (time, push-sequence). Every issue is drawn
+    at construction, but enters the queue only at its second's tick, under
+    a sequence number reserved for it then: events tie exactly as if every
+    issue had been queued up front. The simulation is
     the `out` of every router handler call: routers send through its
     `transmit` and `deliver` and queue their PIT timeouts through its
     `arm_timeout`.
@@ -287,12 +323,13 @@ class Simulation:
         self._push(scenario.sim_duration, EV_END, None, None, None)
         for time, count in scenario.failures:
             self._push(time, EV_FAILURE, count, None, None)
-        if scenario.cache_update_ratio > 0:
-            for second in range(1, int(scenario.sim_duration) + 1):
-                self._push(float(second), EV_CHURN, None, None, None)
-        for time, consumer, name in generate_interest_events(
-                graph.consumers(), self.catalog, scenario, self.rng):
-            self._push(time, EV_ISSUE, consumer, name, None)
+        for second in range(int(scenario.sim_duration) + 1):
+            self._push(float(second), EV_SECOND, None, None, None)
+        self._plan = generate_interest_events(
+            graph.consumers(), self.catalog, scenario, self.rng)
+        self._next_issue = 0
+        self._issue_seq0 = next(self._seq)
+        self._seq = itertools.count(self._issue_seq0 + len(self._plan))
 
     def _push(self, time, kind, a, b, c):
         heappush(self._heap, (time, next(self._seq), kind, a, b, c))
@@ -308,9 +345,8 @@ class Simulation:
                 self._on_timeout_event(now, a, b, c)
             elif kind == EV_ISSUE:
                 self._on_issue(now, a, b)
-            elif kind == EV_CHURN:
-                inject_cache_churn(list(self.routers.values()),
-                                   self.scenario.cache_update_ratio, self.rng)
+            elif kind == EV_SECOND:
+                self._on_second(now)
             elif kind == EV_FAILURE:
                 self._on_failure(a)
             else:  # EV_END
@@ -322,6 +358,25 @@ class Simulation:
         return stats.finalize()
 
     # -- event handlers -------------------------------------------------------
+
+    def _on_second(self, second: float) -> None:
+        """Churn the caches from second 1 on, then queue this second's issues.
+
+        An issue of second s lies in [s, s + 1], the end included when
+        s + random() rounds up; so every issue still unqueued after this
+        tick lies at or after the next one.
+        """
+        ratio = self.scenario.cache_update_ratio
+        if second and ratio > 0:
+            inject_cache_churn(list(self.routers.values()), ratio, self.rng)
+        plan, i = self._plan, self._next_issue
+        times, end = plan.times, second + 1
+        while i < len(times) and times[i] <= end:
+            time, consumer, name = plan[i]
+            heappush(self._heap, (time, self._issue_seq0 + i, EV_ISSUE,
+                                  consumer, name, None))
+            i += 1
+        self._next_issue = i
 
     def _on_issue(self, now: float, rid: RouterId, name: ContentName) -> None:
         # Only pure routers fail, so the issuing consumer is always present.

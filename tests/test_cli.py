@@ -299,6 +299,15 @@ class TestValidateCommand:
         path.write_text("topology = abilene.topo\ntimeout = 0\n")
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
 
+    def test_builds_no_simulation(self, monkeypatch):
+        # A fig9 simulation at 30 interests/s draws 158400 issues at
+        # construction; checking the config needs none of them.
+        def refuse(self, scenario):
+            raise AssertionError("validate built a Simulation")
+        monkeypatch.setattr(Simulation, "__init__", refuse)
+        assert main(["validate", "--config", "fig9.cfg",
+                     "--set", "interest_frequency=30"]) == EXIT_OK
+
 
 def test_data_path_resolves_bundled_files():
     assert data_path("abilene.topo") is not None

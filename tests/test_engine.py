@@ -6,9 +6,11 @@ from collections import Counter
 import pytest
 from scipy.stats import chisquare
 
+from ccnprobe import engine
 from ccnprobe.cli import data_path
-from ccnprobe.engine import (EV_ISSUE, EV_TIMEOUT, ConfigError, LinkQueue,
-                             Scenario, Simulation, generate_interest_events,
+from ccnprobe.engine import (EV_END, EV_FAILURE, EV_ISSUE, EV_SECOND,
+                             EV_TIMEOUT, ConfigError, LinkQueue, Scenario,
+                             Simulation, generate_interest_events,
                              inject_cache_churn, inject_failure, run)
 from ccnprobe.model import ContentName, InterestPacket, content_catalog
 from ccnprobe.node import ContentStore, RouterState
@@ -92,6 +94,83 @@ class TestWorkload:
         counts = Counter(name for _, _, name in events)
         observed = [counts.get(n, 0) for n in catalog]
         assert chisquare(observed).pvalue > 0.01
+
+
+class TestIssuePlan:
+    """The plan is a sequence of (time, consumer, name) triples that slices
+    like a list; a simulation issues exactly the triples it is given."""
+
+    def scenario(self):
+        return abilene_scenario(sim_duration=5.0, interest_frequency=2)
+
+    def plan(self, scenario):
+        graph = load_topology(scenario.topology)
+        catalog = content_catalog(
+            [graph.name_of[r] for r in graph.producers()], 100)
+        return generate_interest_events(graph.consumers(), catalog, scenario,
+                                        random.Random(1))
+
+    def test_slices_read_like_a_list(self):
+        plan = self.plan(self.scenario())
+        triples = list(plan)
+        assert len(plan) == len(triples) == 12 * 5 * 2
+        assert list(plan[1:]) == triples[1:]
+        assert len(plan[1:]) == len(triples) - 1
+        assert plan[7] == triples[7] and plan[-1] == triples[-1]
+
+    def test_a_simulation_issues_exactly_its_plan(self, monkeypatch):
+        scenario = self.scenario()
+        generate = engine.generate_interest_events
+        monkeypatch.setattr(engine, "generate_interest_events",
+                            lambda *args: generate(*args)[1:])
+        assert run(scenario).issued_interests == len(self.plan(scenario)) - 1
+
+
+# Consumers at both ends of a line of four; B and C may fail.
+LINE_SCENARIO = dict(topology=LINE_TOPO, interest_frequency=3,
+                     contents_per_producer=10, cache_size_ratio=0.2,
+                     link_delay=0.01, link_bandwidth="unlimited")
+
+
+class TestIssueAdmission:
+    """Issues enter the queue one simulated second at a time."""
+
+    def test_construction_queues_end_failures_and_one_tick_per_second(self):
+        sim = Simulation(Scenario(sim_duration=5.5, failures=((2.0, 1),),
+                                  **LINE_SCENARIO))
+        kinds = Counter(event[2] for event in sim._heap)
+        assert kinds == {EV_END: 1, EV_FAILURE: 1, EV_SECOND: 6}
+        assert sorted(event[0] for event in sim._heap
+                      if event[2] == EV_SECOND) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_at_most_one_second_of_issues_is_queued(self):
+        sim = Simulation(Scenario(sim_duration=6.0, cache_update_ratio=0.2,
+                                  **LINE_SCENARIO))
+        queued = []
+        push = sim._push
+
+        def recording_push(*event):
+            queued.append(sum(1 for ev in sim._heap if ev[2] == EV_ISSUE))
+            push(*event)
+        sim._push = recording_push
+        report = sim.run()
+        assert report.issued_interests == 2 * 3 * 6
+        assert 0 < max(queued) <= 2 * 3  # consumers x interest_frequency
+
+    @pytest.mark.parametrize("duration,churns", [(3.0, 2), (3.5, 3)])
+    def test_churn_runs_at_whole_seconds_from_one(self, monkeypatch,
+                                                  duration, churns):
+        calls = []
+        churn = engine.inject_cache_churn
+
+        def counting(routers, ratio, rng):
+            calls.append(ratio)
+            return churn(routers, ratio, rng)
+        monkeypatch.setattr(engine, "inject_cache_churn", counting)
+        # At 3.0 the end event, queued first, wins the tie with the tick.
+        Simulation(Scenario(sim_duration=duration, cache_update_ratio=0.2,
+                            **LINE_SCENARIO)).run()
+        assert calls == [0.2] * churns
 
 
 class TestCacheChurn:
