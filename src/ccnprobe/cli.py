@@ -17,7 +17,7 @@ from pathlib import Path
 from .engine import ConfigError, Scenario, check_failure_total, run
 from .metrics import AccountingError, MetricsReport, classify_qos
 from .node import ProbeStrategy
-from .topology import TopologyError, load_topology
+from .topology import TopologyError, load_topology, read_topology
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -212,8 +212,16 @@ def check_point(scenario: Scenario, force: bool) -> None:
 
 
 def scenario_hash(scenario: Scenario) -> str:
-    digest = hashlib.sha256(scenario.canonical().encode()).hexdigest()
-    return digest[:12]
+    """12 hex digits of the sha256 of `Scenario.canonical()`, whose topology
+    is named by what it holds: the file's basename and the sha256 of its
+    text, or the sha256 of literal text. So the same scenario hashes alike
+    in any directory, and an edited topology file hashes differently."""
+    text, name = read_topology(scenario.topology)
+    topology = hashlib.sha256(text.encode()).hexdigest()
+    if name is not None:
+        topology = f"{name} {topology}"
+    canonical = replace(scenario, topology=topology).canonical()
+    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
 def fmt(value) -> str:

@@ -3,6 +3,7 @@ links with drop-tail queues, consumer workload, cache churn, and failures."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -11,12 +12,14 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .metrics import MetricsReport
 from .model import (LOCAL, ContentName, DataPacket, InterestPacket, RouterId,
                     content_catalog, wire_size)
 from .node import ContentStore, Forwarding, PitEntry, ProbeStrategy, RouterState
-from .topology import Graph, SPTable, apply_failure, build_all_spts, load_topology
+from .topology import (Graph, SPTable, apply_failure, build_all_spts,
+                       load_topology, read_topology)
 
 # Event kinds; pop order at equal timestamps follows push order via seq.
 EV_END, EV_FAILURE, EV_SECOND, EV_ISSUE, EV_TIMEOUT, EV_ARRIVAL = range(6)
@@ -159,7 +162,7 @@ class IssuePlan(Sequence):
     __slots__ = ("times", "consumers", "names", "catalog")
 
     def __init__(self, times: array, consumers: array, names: array,
-                 catalog: list[ContentName]):
+                 catalog: Sequence[ContentName]):
         self.times = times
         self.consumers = consumers
         self.names = names
@@ -181,7 +184,7 @@ class IssuePlan(Sequence):
 
 
 def generate_interest_events(consumers: list[RouterId],
-                             catalog: list[ContentName],
+                             catalog: Sequence[ContentName],
                              scenario: Scenario,
                              rng: random.Random) -> IssuePlan:
     """Issue times and names for every consumer interest of the run.
@@ -189,12 +192,19 @@ def generate_interest_events(consumers: list[RouterId],
     Each consumer sends `interest_frequency` interests per simulated second
     at uniform offsets within the second; names are drawn uniformly from
     the whole catalog. Issues come grouped by second, in draw order.
+
+    A name is drawn as `rng.randrange(n)` draws it (CPython's
+    `_randbelow_with_getrandbits`: `n.bit_length()` random bits, redrawn
+    until below n), written out over the public `getrandbits`, so the names
+    and the generator's final state are those of `randrange` at about half
+    the cost.
     """
     times, names = array("d"), array("I")
     if not catalog:
         return IssuePlan(times, array("q"), names, catalog)
     n = len(catalog)
-    draw, pick = rng.random, rng.randrange
+    k = n.bit_length()
+    draw, bits = rng.random, rng.getrandbits
     add_time, add_name = times.append, names.append
     # One second's issuers in draw order: each consumer, frequency times.
     issuers = [c for c in consumers for _ in range(scenario.interest_frequency)]
@@ -202,7 +212,10 @@ def generate_interest_events(consumers: list[RouterId],
     for second in range(seconds):
         for _ in issuers:
             add_time(second + draw())
-            add_name(pick(n))
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            add_name(r)
     return IssuePlan(times, array("q", issuers) * seconds, names, catalog)
 
 
@@ -226,6 +239,37 @@ def inject_cache_churn(routers: list[RouterState], ratio: float,
             router.evict_cached(name)
         evicted += k
     return evicted
+
+
+class Network(NamedTuple):
+    """What every simulation of one topology shares, read-only."""
+
+    graph: Graph
+    catalog: tuple[ContentName, ...]
+    spts: dict[RouterId, SPTable]
+    # Every node's own content: its catalog names for a producer, else empty.
+    origins: dict[RouterId, frozenset[ContentName]]
+
+
+@functools.lru_cache(maxsize=8)
+def shared_network(text: str, contents_per_producer: int) -> Network:
+    """The graph, catalog, shortest-path tables and origin sets of one
+    topology text, built once per process for every simulation of it.
+
+    Keyed on the text rather than a path, so a file rewritten in place is
+    parsed again. Nothing returned may be mutated: a failure builds a new
+    graph and new tables, and a router copies its neighbor list.
+    """
+    # A newline keeps the text of a one-line file from reading as a path.
+    graph = load_topology(text if "\n" in text else text + "\n")
+    producers = graph.producers()
+    catalog = tuple(content_catalog(
+        [graph.name_of[rid] for rid in producers], contents_per_producer))
+    origins = dict.fromkeys(graph.nodes, frozenset())
+    for rid in producers:
+        prefix = graph.name_of[rid]
+        origins[rid] = frozenset(n for n in catalog if n.prefix == prefix)
+    return Network(graph, catalog, build_all_spts(graph), origins)
 
 
 def check_failure_total(scenario: Scenario, graph: Graph) -> None:
@@ -265,7 +309,9 @@ class Simulation:
     issue had been queued up front. The simulation is
     the `out` of every router handler call: routers send through its
     `transmit` and `deliver` and queue their PIT timeouts through its
-    `arm_timeout`.
+    `arm_timeout`. The graph, catalog, shortest-path tables and origin sets
+    come from `shared_network`, shared with every simulation of the same
+    topology text in the process.
     """
 
     def __init__(self, scenario: Scenario):
@@ -274,36 +320,28 @@ class Simulation:
         self.rng = random.Random(scenario.rng_seed)
         self.nonces = itertools.count(1)
 
-        graph = self.graph = load_topology(scenario.topology)
-
-        producer_ids = graph.producers()
-        self.catalog = content_catalog(
-            [graph.name_of[rid] for rid in producer_ids],
-            scenario.contents_per_producer)
+        text, _name = read_topology(scenario.topology)
+        graph, self.catalog, spts, origins = shared_network(
+            text, scenario.contents_per_producer)
+        self.graph = graph
         cs_capacity = max(1, int(scenario.cache_size_ratio * len(self.catalog) + 1e-9))
 
         check_failure_total(scenario, graph)
 
-        spts = build_all_spts(graph)
         strategy = ProbeStrategy(scenario.probe_strategy)
         forwarding = Forwarding(scenario.forwarding)
         # Routing-plane knowledge shared by every node: which router
         # publishes each name prefix. Off by default; a miss then broadcasts.
         producer_routes = {}
         if scenario.producer_routing:
-            producer_routes = {graph.name_of[rid]: rid for rid in producer_ids}
+            producer_routes = {graph.name_of[rid]: rid for rid in graph.producers()}
         self.routers: dict[RouterId, RouterState] = {}
         for rid in graph.nodes:
-            origin = frozenset()
-            if "producer" in graph.roles[rid]:
-                prefix = graph.name_of[rid]
-                origin = frozenset(
-                    n for n in self.catalog if n.prefix == prefix)
             self.routers[rid] = RouterState(
                 rid, ContentStore(cs_capacity, scenario.cs_policy), spts[rid],
                 graph.adj[rid], strategy, forwarding, scenario.fib_capacity,
                 scenario.fib_entry_ttl, scenario.timeout, scenario.payload_size,
-                origin, producer_routes, self.nonces)
+                origins[rid], producer_routes, self.nonces)
 
         # `link_delay` and `link_bandwidth`, when set, override every link.
         delay, bandwidth = scenario.link_delay, scenario.link_bandwidth

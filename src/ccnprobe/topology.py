@@ -85,6 +85,12 @@ class SPTEntry:
     outgoing_interface: RouterId  # adjacent first hop
 
 
+# Every table holds its entries from here: one object per (cost, first hop)
+# pair across all graphs and rebuilds, which is safe because entries are
+# frozen. The pairs are bounded by the hop diameter times the router count.
+_ENTRIES: dict[tuple[int, RouterId], SPTEntry] = {}
+
+
 class SPTable:
     """One router's shortest-path table: hop cost and first hop per destination.
 
@@ -127,8 +133,14 @@ def build_spt(graph: Graph, source: RouterId) -> SPTable:
                 # lower-id first hop.
                 if first[node] < first[nb]:
                     first[nb] = first[node]
-    entries = {rid: SPTEntry(dist[rid], first[rid])
-               for rid in dist if rid != source}
+    entries = {}
+    for rid, d in dist.items():
+        if rid != source:
+            key = (d, first[rid])
+            entry = _ENTRIES.get(key)
+            if entry is None:
+                entry = _ENTRIES[key] = SPTEntry(*key)
+            entries[rid] = entry
     return SPTable(entries)
 
 
@@ -155,6 +167,20 @@ def apply_failure(graph: Graph, victim: RouterId) -> Graph:
     return out
 
 
+def read_topology(source: str | Path) -> tuple[str, str | None]:
+    """The topology text `source` names, and the file's basename.
+
+    A `Path` is a file. A string is literal text when it holds a newline or
+    starts with a comment or a record, and a file path otherwise; literal
+    text has no file name (None).
+    """
+    if isinstance(source, str) and (
+            "\n" in source or source.strip().startswith(("#", "node ", "edge "))):
+        return source, None
+    path = Path(source)
+    return path.read_text(), path.name
+
+
 def load_topology(source: str | Path) -> Graph:
     """Parse a topology file (or literal text) into a Graph.
 
@@ -164,13 +190,7 @@ def load_topology(source: str | Path) -> Graph:
     `#` starts a comment. A node with no role flags is a plain router.
     Omitted link parameters default to 1 s delay and unlimited bandwidth.
     """
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif "\n" in source or source.strip().startswith(("#", "node ", "edge ")):
-        text = source
-    else:
-        text = Path(source).read_text()
-
+    text, _name = read_topology(source)
     graph = Graph()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

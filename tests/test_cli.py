@@ -110,6 +110,22 @@ class TestBuildScenario:
         assert scenario_hash(scenario) != scenario_hash(
             Scenario(**{**scenario.__dict__, "rng_seed": 99}))
 
+    def test_hash_names_the_topology_by_its_file_name_and_text(self, tmp_path):
+        text = data_path("abilene.topo").read_text()
+        hashes = {}
+        for copy in ("one", "two", "edited"):
+            (tmp_path / copy).mkdir()
+            topo = tmp_path / copy / "abilene.topo"
+            topo.write_text(text + "# edited\n" if copy == "edited" else text)
+            hashes[copy] = scenario_hash(Scenario(topology=str(topo)))
+        assert hashes["one"] == hashes["two"] != hashes["edited"]
+        renamed = tmp_path / "one" / "other.topo"
+        renamed.write_text(text)
+        assert scenario_hash(Scenario(topology=str(renamed))) != hashes["one"]
+        assert (scenario_hash(Scenario(topology=text))
+                == scenario_hash(Scenario(topology=text))
+                != scenario_hash(Scenario(topology=text + "# edited\n")))
+
 
 class TestCheckRanges:
     def test_documented_ranges_enforced(self):

@@ -14,7 +14,7 @@ from ccnprobe.engine import (EV_END, EV_FAILURE, EV_ISSUE, EV_SECOND,
                              inject_cache_churn, inject_failure, run)
 from ccnprobe.model import ContentName, InterestPacket, content_catalog
 from ccnprobe.node import ContentStore, RouterState
-from ccnprobe.topology import build_spt, load_topology
+from ccnprobe.topology import build_all_spts, build_spt, load_topology
 
 LINE_TOPO = """
 node A producer consumer
@@ -95,6 +95,24 @@ class TestWorkload:
         observed = [counts.get(n, 0) for n in catalog]
         assert chisquare(observed).pvalue > 0.01
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 1024, 1600, 1601])
+    def test_names_are_randrange_draws(self, n):
+        # The reference draws each issue's time, then its name, through
+        # `randrange`, second by second and consumer by consumer.
+        scenario = Scenario(topology="node A consumer\n", sim_duration=7.0,
+                            interest_frequency=3)
+        consumers = [0, 1]
+        catalog = content_catalog(["P"], n)
+        rng, ref = random.Random(5), random.Random(5)
+        plan = generate_interest_events(consumers, catalog, scenario, rng)
+        expected = []
+        for _second in range(7):
+            for _issuer in range(len(consumers) * 3):
+                ref.random()
+                expected.append(catalog[ref.randrange(n)])
+        assert [name for _, _, name in plan] == expected
+        assert rng.getstate() == ref.getstate()
+
 
 class TestIssuePlan:
     """The plan is a sequence of (time, consumer, name) triples that slices
@@ -124,6 +142,41 @@ class TestIssuePlan:
         monkeypatch.setattr(engine, "generate_interest_events",
                             lambda *args: generate(*args)[1:])
         assert run(scenario).issued_interests == len(self.plan(scenario)) - 1
+
+
+class TestSharedNetwork:
+    """Simulations of one topology text share its graph, catalog, tables and
+    origin sets, which nothing mutates."""
+
+    def test_simulations_of_one_topology_share_their_tables(self):
+        a = Simulation(abilene_scenario(rng_seed=1))
+        b = Simulation(abilene_scenario(rng_seed=2, cache_size_ratio=0.3))
+        assert a.graph is b.graph and a.catalog is b.catalog
+        for rid, router in a.routers.items():
+            assert router.spt is b.routers[rid].spt
+            assert router.origin is b.routers[rid].origin
+
+    def test_file_rewritten_in_place_is_parsed_again(self, tmp_path):
+        path = tmp_path / "net.topo"
+        path.write_text("node A producer consumer\nnode B\nedge A B\n")
+        first = Simulation(Scenario(topology=str(path), sim_duration=1.0))
+        path.write_text("node A producer consumer\nnode B\nnode C consumer\n"
+                        "edge A B\nedge B C\n")
+        second = Simulation(Scenario(topology=str(path), sim_duration=1.0))
+        assert len(first.graph.nodes) == 2
+        assert len(second.graph.nodes) == 3
+        assert second.routers[0].spt.cost(2) == 2
+
+    def test_failures_leave_the_shared_tables_intact(self):
+        topology = str(data_path("sprint52.topo"))
+        Simulation(Scenario(topology=topology, sim_duration=20.0,
+                            failures=((5.0, 3), (10.0, 2)))).run()
+        sim = Simulation(Scenario(topology=topology, sim_duration=20.0))
+        fresh = build_all_spts(load_topology(topology))
+        assert sorted(sim.routers) == sorted(fresh)
+        for rid, router in sim.routers.items():
+            assert router.spt.entries == fresh[rid].entries
+            assert router.neighbors == sorted(sim.graph.adj[rid])
 
 
 # Consumers at both ends of a line of four; B and C may fail.

@@ -2,8 +2,10 @@
 
 Each case is a bundled preset (or a variant of one) shortened to at most
 60 simulated seconds, run under every probe strategy. The digest covers
-`MetricsReport.csv_values()` at full float precision, not `sweep.csv`,
-whose `scenario_hash` column embeds the topology's absolute path.
+`MetricsReport.csv_values()` at full float precision. One small sweep's
+whole `sweep.csv` is pinned as well: its `scenario_hash` column names the
+topology by file name and content, so its bytes are the same in any
+checkout directory.
 
 A change that alters any of these outputs must re-pin the digest it
 changes and give the reason. To print the current digests:
@@ -18,7 +20,7 @@ from dataclasses import replace
 
 import pytest
 
-from ccnprobe.cli import ALL_STRATEGIES, build_scenario, parse_config
+from ccnprobe.cli import ALL_STRATEGIES, build_scenario, main, parse_config
 from ccnprobe.engine import run
 from ccnprobe.metrics import MetricsReport
 
@@ -116,7 +118,27 @@ def test_output_matches_golden(case, strategy):
     assert digest(case, strategy) == GOLDEN[case, strategy]
 
 
+SWEEP_ARGS = ["sweep", "--config", "fig6.cfg", "--axis", "cache_size_ratio",
+              "--values", "0.10", "--strategies", "basic-ccn", "--seed", "1",
+              "--repeats", "1", "--set", "sim_duration=10"]
+SWEEP_CSV_SHA256 = "de4721a881703af04f363664ca0d9d360b164046643a49df815ab95e340eb624"
+
+
+def sweep_digest(out_dir) -> str:
+    assert main([*SWEEP_ARGS, "--out", str(out_dir)]) == 0
+    return hashlib.sha256((out_dir / "sweep.csv").read_bytes()).hexdigest()
+
+
+def test_sweep_csv_matches_golden(tmp_path):
+    assert sweep_digest(tmp_path) == SWEEP_CSV_SHA256
+
+
 if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
     for case in CASES:
         for strategy in ALL_STRATEGIES:
             print(f"    ({case!r}, {strategy!r}): {digest(case, strategy)!r},")
+    with tempfile.TemporaryDirectory() as out:
+        print(f"SWEEP_CSV_SHA256 = {sweep_digest(Path(out))!r}")

@@ -192,6 +192,18 @@ class TestBuildSpt:
                     if ab is not None and bc is not None:
                         assert ac is not None and ac <= ab + bc
 
+    def test_equal_entries_are_one_object(self):
+        graph = load_topology(data_path("sprint52.topo"))
+        oracle = dict(nx.all_pairs_shortest_path_length(to_networkx(graph)))
+        seen = {}
+        for spts in (build_all_spts(graph), build_all_spts(graph)):
+            for src, spt in spts.items():
+                assert {dst: e.cost for dst, e in spt.entries.items()} == {
+                    dst: cost for dst, cost in oracle[src].items() if dst != src}
+                for entry in spt.entries.values():
+                    key = (entry.cost, entry.outgoing_interface)
+                    assert seen.setdefault(key, entry) is entry
+
     def test_deterministic_across_rebuilds(self):
         graph = load_topology(data_path("abilene.topo"))
         first = build_all_spts(graph)
