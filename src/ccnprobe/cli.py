@@ -60,8 +60,8 @@ def _parse_optional_float(text: str) -> float | None:
     return None if text.lower() in ("none", "default", "file") else float(text)
 
 
-def _parse_bandwidth(text: str) -> float | str | None:
-    return "unlimited" if text.lower() == "unlimited" else _parse_optional_float(text)
+def _parse_bandwidth(text: str) -> float | str:
+    return "unlimited" if text.lower() == "unlimited" else float(text)
 
 
 def _parse_optional_int(text: str) -> int | None:
@@ -89,7 +89,7 @@ TYPE_PARSERS = {
     "bool": _parse_bool,
     "int | None": _parse_optional_int,
     "float | None": _parse_optional_float,
-    "float | str | None": _parse_bandwidth,
+    "float | str": _parse_bandwidth,
     "tuple[tuple[float, int], ...]": _parse_failures,
 }
 

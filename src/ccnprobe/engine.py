@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .metrics import MetricsReport
 from .model import (LOCAL, ContentName, DataPacket, InterestPacket, RouterId,
                     content_catalog, wire_size)
-from .node import ContentStore, Forwarding, PitEntry, ProbeStrategy, RouterState
+from .node import ContentStore, PitEntry, ProbeStrategy, RouterState
 from .topology import (Graph, SPTable, apply_failure, build_all_spts,
                        load_topology, read_topology)
 
@@ -39,21 +39,24 @@ class Scenario:
     cache_size_ratio: float = 0.10       # CS capacity / catalog size
     cache_update_ratio: float = 0.0      # per-second CS churn fraction
     probe_strategy: str = "basic-ccn"
-    cs_policy: str = "lru"
-    forwarding: str = "best-route"
     timeout: float = 0.5                 # PIT deadline, seconds
     failures: tuple[tuple[float, int], ...] = ()
     rng_seed: int = 1
     contents_per_producer: int = 100
     payload_size: int = 1024             # data payload bytes
-    link_delay: float | None = None      # override every link when set
-    link_bandwidth: float | str | None = None  # number, "unlimited", or None
+    link_delay: float = 1.0              # every link's delay, seconds
+    link_bandwidth: float | str = "unlimited"  # every link's bits/s
     queue_capacity: int = 64             # packets per link direction
     fib_capacity: int | None = 256
     fib_entry_ttl: float | None = None   # forwarding trusts entries this fresh
     producer_routing: bool = False       # static prefix routes toward producers
 
     def validate(self) -> None:
+        # Non-finite values would fail mid-run: a NaN time unorders the heap.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite: {value}")
         if self.sim_duration < 0:
             raise ConfigError(f"sim_duration must be >= 0: {self.sim_duration}")
         if self.interest_frequency < 0:
@@ -74,12 +77,14 @@ class Scenario:
             raise ConfigError(f"fib_capacity must be >= 1: {self.fib_capacity}")
         if self.fib_entry_ttl is not None and self.fib_entry_ttl <= 0:
             raise ConfigError(f"fib_entry_ttl must be positive: {self.fib_entry_ttl}")
-        if self.link_delay is not None and self.link_delay < 0:
-            raise ConfigError(f"link_delay must be >= 0: {self.link_delay}")
-        if (isinstance(self.link_bandwidth, (int, float))
-                and self.link_bandwidth <= 0):
+        if not isinstance(self.link_delay, (int, float)) or self.link_delay < 0:
+            raise ConfigError(f"link_delay must be a number >= 0: {self.link_delay!r}")
+        if self.link_bandwidth != "unlimited" and (
+                not isinstance(self.link_bandwidth, (int, float))
+                or self.link_bandwidth <= 0):
             raise ConfigError(
-                f"link_bandwidth must be positive: {self.link_bandwidth}")
+                f"link_bandwidth must be a positive number or 'unlimited': "
+                f"{self.link_bandwidth!r}")
         if self.contents_per_producer < 1:
             raise ConfigError(
                 f"contents_per_producer must be >= 1: {self.contents_per_producer}")
@@ -89,18 +94,8 @@ class Scenario:
             raise ConfigError(
                 f"unknown probe_strategy {self.probe_strategy!r}; expected one "
                 f"of {[s.value for s in ProbeStrategy]}") from None
-        try:
-            Forwarding(self.forwarding)
-        except ValueError:
-            raise ConfigError(f"unknown forwarding {self.forwarding!r}") from None
-        if self.cs_policy not in ("fifo", "lru"):
-            raise ConfigError(f"unknown cs_policy {self.cs_policy!r}")
-        if isinstance(self.link_bandwidth, str) and self.link_bandwidth != "unlimited":
-            raise ConfigError(
-                f"link_bandwidth must be a number or 'unlimited': "
-                f"{self.link_bandwidth!r}")
         for time, count in self.failures:
-            if time < 0 or time > self.sim_duration:
+            if not 0 <= time <= self.sim_duration:  # NaN and inf fail too
                 raise ConfigError(f"failure time {time} outside the run")
             if count < 0:
                 raise ConfigError(f"failure count must be >= 0: {count}")
@@ -329,7 +324,6 @@ class Simulation:
         check_failure_total(scenario, graph)
 
         strategy = ProbeStrategy(scenario.probe_strategy)
-        forwarding = Forwarding(scenario.forwarding)
         # Routing-plane knowledge shared by every node: which router
         # publishes each name prefix. Off by default; a miss then broadcasts.
         producer_routes = {}
@@ -338,19 +332,16 @@ class Simulation:
         self.routers: dict[RouterId, RouterState] = {}
         for rid in graph.nodes:
             self.routers[rid] = RouterState(
-                rid, ContentStore(cs_capacity, scenario.cs_policy), spts[rid],
-                graph.adj[rid], strategy, forwarding, scenario.fib_capacity,
+                rid, ContentStore(cs_capacity), spts[rid],
+                graph.adj[rid], strategy, scenario.fib_capacity,
                 scenario.fib_entry_ttl, scenario.timeout, scenario.payload_size,
                 origins[rid], producer_routes, self.nonces)
 
-        # `link_delay` and `link_bandwidth`, when set, override every link.
-        delay, bandwidth = scenario.link_delay, scenario.link_bandwidth
+        bandwidth = (None if scenario.link_bandwidth == "unlimited"
+                     else float(scenario.link_bandwidth))
         self.links: dict[tuple[RouterId, RouterId], LinkQueue] = {
-            key: LinkQueue(link.delay if delay is None else delay,
-                           link.bandwidth if bandwidth is None
-                           else None if bandwidth == "unlimited" else float(bandwidth),
-                           scenario.queue_capacity)
-            for key, link in graph.links.items()
+            key: LinkQueue(scenario.link_delay, bandwidth, scenario.queue_capacity)
+            for key in graph.links
         }
 
         self.stats = MetricsReport(duration=scenario.sim_duration)

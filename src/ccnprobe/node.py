@@ -24,29 +24,21 @@ class ProbeStrategy(str, Enum):
     RANDOM = "random"
 
 
-class Forwarding(str, Enum):
-    BEST_ROUTE = "best-route"
-    BROADCAST = "broadcast"
-
-
 class ContentStore:
-    """Bounded cache of content names with FIFO or LRU replacement.
+    """Bounded cache of content names with LRU replacement.
 
     `entries` maps each cached name to None; its order is the replacement
     order, oldest first.
     """
 
-    def __init__(self, capacity: int, policy: str = "lru"):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"content store capacity must be >= 1, got {capacity}")
-        if policy not in ("fifo", "lru"):
-            raise ValueError(f"unknown cache policy {policy!r}")
         self.capacity = capacity
-        self.policy = policy
         self.entries: OrderedDict[ContentName, None] = OrderedDict()
 
     def touch(self, name: ContentName) -> None:
-        if self.policy == "lru" and name in self.entries:
+        if name in self.entries:
             self.entries.move_to_end(name)
 
     def insert(self, name: ContentName) -> ContentName | None:
@@ -108,7 +100,6 @@ class RouterState:
     def __init__(self, rid: RouterId, cs: ContentStore, spt: SPTable,
                  neighbors: list[RouterId],
                  probe_strategy: ProbeStrategy = ProbeStrategy.NONE,
-                 forwarding: Forwarding = Forwarding.BEST_ROUTE,
                  fib_capacity: int | None = None,
                  fib_entry_ttl: float | None = None,
                  timeout: float = 0.5,
@@ -121,7 +112,6 @@ class RouterState:
         self.spt = spt
         self.neighbors = sorted(neighbors)
         self.probe_strategy = probe_strategy
-        self.forwarding = forwarding
         self.fib_capacity = fib_capacity
         # Time-based entry validity: providers in entries not refreshed
         # within the window are not trusted for forwarding. Probe selection
@@ -494,15 +484,14 @@ class RouterState:
                 interest.probe = attached
                 interest.probe_response = []
 
-        if self.forwarding == Forwarding.BEST_ROUTE:
-            best = self._route(entry, now, in_iface)
-            if best is not None:
-                provider, iface = best
-                if in_iface == LOCAL:
-                    entry.expected_provider = provider
-                out.transmit(self.id, iface, interest, now)
-                out.arm_timeout(self.id, entry)
-                return None
+        best = self._route(entry, now, in_iface)
+        if best is not None:
+            provider, iface = best
+            if in_iface == LOCAL:
+                entry.expected_provider = provider
+            out.transmit(self.id, iface, interest, now)
+            out.arm_timeout(self.id, entry)
+            return None
         outs = [nb for nb in self.neighbors if nb != in_iface]
         for nb in outs:
             out.transmit(self.id, nb, interest, now)
@@ -555,15 +544,14 @@ class RouterState:
         attached = self.select_probe(now, rng, name)
         if attached is not None:
             interest.probe = attached
-        if self.forwarding == Forwarding.BEST_ROUTE:
-            best = self._route(entry, now, None)
-            if best is not None:
-                provider, iface = best
-                entry.deadline = now + self.timeout
-                entry.expected_provider = provider
-                out.transmit(self.id, iface, interest, now)
-                out.arm_timeout(self.id, entry)
-                return None
+        best = self._route(entry, now, None)
+        if best is not None:
+            provider, iface = best
+            entry.deadline = now + self.timeout
+            entry.expected_provider = provider
+            out.transmit(self.id, iface, interest, now)
+            out.arm_timeout(self.id, entry)
+            return None
         if not entry.broadcast_retry_used and self.neighbors:
             entry.broadcast_retry_used = True
             entry.deadline = now + self.timeout

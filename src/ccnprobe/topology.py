@@ -15,14 +15,8 @@ class TopologyError(ValueError):
     """Raised for malformed topology files or invalid graph operations."""
 
 
-@dataclass(frozen=True, slots=True)
-class Link:
-    delay: float          # propagation delay, seconds
-    bandwidth: float | None  # bits/s; None = unlimited
-
-
 class Graph:
-    """Undirected graph of routers with link delay/bandwidth and node roles.
+    """Undirected graph of routers with node roles.
 
     Immutable by convention after construction; failure handling produces a
     new Graph via `apply_failure`.
@@ -33,7 +27,7 @@ class Graph:
         self.id_of: dict[str, RouterId] = {}
         self.roles: dict[RouterId, frozenset[str]] = {}
         self.adj: dict[RouterId, list[RouterId]] = {}
-        self.links: dict[tuple[RouterId, RouterId], Link] = {}
+        self.links: set[tuple[RouterId, RouterId]] = set()  # both directions
 
     @property
     def nodes(self) -> list[RouterId]:
@@ -49,16 +43,14 @@ class Graph:
         self.adj[rid] = []
         return rid
 
-    def add_edge(self, a: RouterId, b: RouterId, delay: float,
-                 bandwidth: float | None) -> None:
+    def add_edge(self, a: RouterId, b: RouterId) -> None:
         if a == b:
             raise TopologyError(f"self-loop on node {self.name_of[a]!r}")
         if (a, b) in self.links:
             raise TopologyError(
                 f"duplicate edge {self.name_of[a]!r} -- {self.name_of[b]!r}")
-        link = Link(delay, bandwidth)
-        self.links[(a, b)] = link
-        self.links[(b, a)] = link
+        self.links.add((a, b))
+        self.links.add((b, a))
         self.adj[a].append(b)
         self.adj[b].append(a)
         self.adj[a].sort()
@@ -162,7 +154,7 @@ def apply_failure(graph: Graph, victim: RouterId) -> Graph:
     out.roles = {rid: r for rid, r in graph.roles.items() if rid != victim}
     out.adj = {rid: [nb for nb in nbs if nb != victim]
                for rid, nbs in graph.adj.items() if rid != victim}
-    out.links = {(a, b): l for (a, b), l in graph.links.items()
+    out.links = {(a, b) for a, b in graph.links
                  if a != victim and b != victim}
     return out
 
@@ -186,9 +178,9 @@ def load_topology(source: str | Path) -> Graph:
 
     Format, one record per line:
         node <name> [producer|consumer|router]...
-        edge <a> <b> [delay_s] [bandwidth_bps|unlimited]
+        edge <a> <b>
     `#` starts a comment. A node with no role flags is a plain router.
-    Omitted link parameters default to 1 s delay and unlimited bandwidth.
+    Link delay and bandwidth are the scenario's, the same for every link.
     """
     text, _name = read_topology(source)
     graph = Graph()
@@ -212,29 +204,15 @@ def load_topology(source: str | Path) -> Graph:
             except TopologyError as exc:
                 raise TopologyError(f"line {lineno}: {exc}") from None
         elif kind == "edge":
-            if len(fields) < 3 or len(fields) > 5:
+            if len(fields) != 3:
                 raise TopologyError(
-                    f"line {lineno}: edge record needs 2 node names and at "
-                    f"most delay and bandwidth")
+                    f"line {lineno}: edge record needs exactly 2 node names")
             a_name, b_name = fields[1], fields[2]
             for n in (a_name, b_name):
                 if n not in graph.id_of:
                     raise TopologyError(f"line {lineno}: unknown node {n!r}")
-            delay = 1.0
-            bandwidth: float | None = None
             try:
-                if len(fields) >= 4:
-                    delay = float(fields[3])
-                if len(fields) == 5 and fields[4] != "unlimited":
-                    bandwidth = float(fields[4])
-            except ValueError:
-                raise TopologyError(
-                    f"line {lineno}: bad numeric link parameter") from None
-            if delay < 0 or (bandwidth is not None and bandwidth <= 0):
-                raise TopologyError(f"line {lineno}: bad link parameter value")
-            try:
-                graph.add_edge(graph.id_of[a_name], graph.id_of[b_name],
-                               delay, bandwidth)
+                graph.add_edge(graph.id_of[a_name], graph.id_of[b_name])
             except TopologyError as exc:
                 raise TopologyError(f"line {lineno}: {exc}") from None
         else:

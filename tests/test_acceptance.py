@@ -76,11 +76,11 @@ def random_connected_graph(rng: random.Random) -> Graph:
     order = list(range(n))
     rng.shuffle(order)
     for i in range(1, n):
-        graph.add_edge(order[i], order[rng.randrange(i)], 1.0, None)
+        graph.add_edge(order[i], order[rng.randrange(i)])
     for _ in range(rng.randint(0, 2 * n)):
         a, b = rng.sample(range(n), 2)
         if (a, b) not in graph.links:
-            graph.add_edge(a, b, 1.0, None)
+            graph.add_edge(a, b)
     return graph
 
 

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 from collections import Counter
@@ -44,9 +45,15 @@ class TestScenarioValidation:
         ("cache_size_ratio", 1.5), ("cache_update_ratio", -0.1),
         ("timeout", 0.0), ("payload_size", -5), ("queue_capacity", 0),
         ("fib_capacity", 0), ("fib_entry_ttl", 0.0),
-        ("probe_strategy", "telepathy"), ("forwarding", "warp"),
-        ("cs_policy", "mru"), ("link_bandwidth", "fast"),
+        ("probe_strategy", "telepathy"), ("sim_duration", math.nan),
+        ("timeout", math.nan), ("link_bandwidth", "fast"),
         ("contents_per_producer", 0), ("failures", ((999.0, 1),)),
+        # Non-finite values (like the two NaNs above) fail or stop a run.
+        ("sim_duration", math.inf), ("link_delay", math.nan),
+        ("link_delay", math.inf), ("link_bandwidth", math.inf),
+        ("fib_entry_ttl", math.inf), ("failures", ((math.nan, 1),)),
+        ("failures", ((math.inf, 1),)),
+        ("link_delay", None), ("link_bandwidth", None),
     ])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ConfigError):
@@ -515,7 +522,7 @@ class TestSharedPackets:
     its own probe response and hop count."""
 
     def test_relays_holding_the_probe_each_write_their_own_copy(self):
-        sim, ids = quiet_simulation(DIAMOND_TOPO, forwarding="broadcast")
+        sim, ids = quiet_simulation(DIAMOND_TOPO)
         s, r1, r2, p = (ids[n] for n in ("S", "R1", "R2", "P"))
         probe = ContentName("P", 1)
         for relay in (r1, r2):

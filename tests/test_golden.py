@@ -43,9 +43,6 @@ CASES = {
                               "cache_size_ratio": 0.02}),
     "small-fib": ("fig9.cfg", {"sim_duration": 40.0, "interest_frequency": 5,
                                "fib_capacity": 16, "cache_size_ratio": 0.01}),
-    "fifo": ("fig9.cfg", {"sim_duration": 40.0, "interest_frequency": 5,
-                          "cs_policy": "fifo", "cache_size_ratio": 0.02,
-                          "rng_seed": 3}),
 }
 
 GOLDEN = {
@@ -94,11 +91,6 @@ GOLDEN = {
     ('small-fib', 'fib-probe'): 'e5f00d01b1b84451b5b78f3473f68a0b50687842e8cdc4989f274313d697af04',
     ('small-fib', 'sequential'): '850d5afebe9da63d5d2c12fc51306903adef5d281a4101ccec2fa8191e295ecf',
     ('small-fib', 'random'): '1f909ed71f753ebbcc0139a12e21947091d03667cac9b7ebad84a65d35c8d85c',
-    ('fifo', 'basic-ccn'): 'f71939d01d4b034e8ba2e40e887df368382e5c7702f03dc5c03e5aaea3e5ca32',
-    ('fifo', 'pit-probe'): 'dd1585641c79a17f4a1a2e552e4d929fa003f0c330fde513a044bcb8470dc2c6',
-    ('fifo', 'fib-probe'): '0821702da9fef8a7bd776d7809fdd596ce4259033a7f3392cc0c5596b2c7a546',
-    ('fifo', 'sequential'): 'a03efc8f2e10b85bc581d6267a8016bb85a3a9d4fc69d377d9a959d3853b5384',
-    ('fifo', 'random'): '5ee1ef863eba0279aec155ecc21747f908d74abb36c81b4d5cfd85ff4805b40a',
 }
 
 
@@ -121,7 +113,7 @@ def test_output_matches_golden(case, strategy):
 SWEEP_ARGS = ["sweep", "--config", "fig6.cfg", "--axis", "cache_size_ratio",
               "--values", "0.10", "--strategies", "basic-ccn", "--seed", "1",
               "--repeats", "1", "--set", "sim_duration=10"]
-SWEEP_CSV_SHA256 = "de4721a881703af04f363664ca0d9d360b164046643a49df815ab95e340eb624"
+SWEEP_CSV_SHA256 = "aa5ab9e4ece2b9150149a4bb95b3e58f848bb5ccfc4fd15eaa363e997ae41612"
 
 
 def sweep_digest(out_dir) -> str:

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from ccnprobe.model import LOCAL, ContentName, DataPacket, InterestPacket
-from ccnprobe.node import (ContentStore, Forwarding, PitEntry, ProbeStrategy,
-                           RouterState)
+from ccnprobe.node import ContentStore, PitEntry, ProbeStrategy, RouterState
 from ccnprobe.topology import build_spt, load_topology
 
 # Star around router 0 with a two-hop tail: 0-1, 0-2, 0-3, 3-4.
@@ -27,13 +26,12 @@ def name(text: str) -> ContentName:
 
 
 def make_router(rid=0, topo=STAR_TAIL, strategy=ProbeStrategy.NONE,
-                forwarding=Forwarding.BEST_ROUTE, cs_capacity=8,
-                fib_capacity=None, fib_entry_ttl=None, origin=frozenset(),
-                producer_routes=None, policy="lru"):
+                cs_capacity=8, fib_capacity=None, fib_entry_ttl=None,
+                origin=frozenset(), producer_routes=None):
     graph = load_topology(topo)
-    return RouterState(rid, ContentStore(cs_capacity, policy),
+    return RouterState(rid, ContentStore(cs_capacity),
                        build_spt(graph, rid), graph.adj[rid], strategy,
-                       forwarding, fib_capacity, fib_entry_ttl,
+                       fib_capacity, fib_entry_ttl,
                        timeout=0.5, payload_size=64, origin=origin,
                        producer_routes=producer_routes,
                        nonces=itertools.count(1000))
@@ -76,38 +74,22 @@ class Recorder:
 
 
 class TestContentStore:
-    def test_fifo_evicts_oldest_insert(self):
-        cs = ContentStore(2, "fifo")
-        cs.insert(name("P/0"))
-        cs.insert(name("P/1"))
-        evicted = cs.insert(name("P/2"))
-        assert evicted == name("P/0")
-        assert name("P/1") in cs.entries and name("P/2") in cs.entries
-
     def test_lru_access_protects_entry(self):
-        cs = ContentStore(2, "lru")
+        cs = ContentStore(2)
         cs.insert(name("P/0"))
         cs.insert(name("P/1"))
         cs.touch(name("P/0"))
         evicted = cs.insert(name("P/2"))
         assert evicted == name("P/1")
 
-    def test_fifo_ignores_access_order(self):
-        cs = ContentStore(2, "fifo")
+    def test_reinsert_refreshes_without_eviction(self):
+        cs = ContentStore(2)
         cs.insert(name("P/0"))
         cs.insert(name("P/1"))
-        cs.touch(name("P/0"))
-        assert cs.insert(name("P/2")) == name("P/0")
-
-    def test_reinsert_refreshes_without_eviction(self):
-        for policy in ("fifo", "lru"):
-            cs = ContentStore(2, policy)
-            cs.insert(name("P/0"))
-            cs.insert(name("P/1"))
-            assert cs.insert(name("P/0")) is None
-            # refreshed entry is now the newest in replacement order
-            assert list(cs.entries) == [name("P/1"), name("P/0")]
-            assert cs.insert(name("P/2")) == name("P/1")
+        assert cs.insert(name("P/0")) is None
+        # refreshed entry is now the newest in replacement order
+        assert list(cs.entries) == [name("P/1"), name("P/0")]
+        assert cs.insert(name("P/2")) == name("P/1")
 
     def test_entries_hold_bare_names(self):
         cs = ContentStore(2)
@@ -115,7 +97,7 @@ class TestContentStore:
         assert dict(cs.entries) == {name("P/0"): None}
 
     def test_capacity_bound_holds(self):
-        cs = ContentStore(3, "lru")
+        cs = ContentStore(3)
         for i in range(50):
             cs.insert(name(f"P/{i}"))
             assert len(cs.entries) <= 3
@@ -123,8 +105,6 @@ class TestContentStore:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             ContentStore(0)
-        with pytest.raises(ValueError):
-            ContentStore(4, "mru")
 
 
 class TestSelectProbe:
@@ -464,13 +444,6 @@ class TestOnInterest:
         assert reason == "no-route"
         assert out.calls == [("arm_timeout", 0, router.pit[name("X/0")])]
 
-    def test_broadcast_forwarding_ignores_fib(self):
-        router = make_router(forwarding=Forwarding.BROADCAST)
-        router.fib_update(name("X/0"), [1], 0.0)
-        out = Recorder()
-        router.on_interest(interest("X/0"), 2, 1.0, random.Random(0), out)
-        assert out.ifaces == [1, 3]
-
     def test_producer_route_used_on_fib_miss(self):
         router = make_router(producer_routes={"n4": 4})
         out = Recorder()
@@ -542,8 +515,8 @@ class TestOnData:
 
 
 class TestOnTimeout:
-    def prepared_router(self, providers):
-        router = make_router()
+    def prepared_router(self, providers, strategy=ProbeStrategy.NONE):
+        router = make_router(strategy=strategy)
         router.fib_update(name("X/0"), providers, 0.0)
         entry = PitEntry(name("X/0"), 0.5, local_issued=[0.0],
                          expected_provider=providers[0], seen_nonces={1})
@@ -601,15 +574,13 @@ class TestOnTimeout:
 
     def test_retransmission_attaches_fresh_probe(self):
         # Only the retried entry pending: nothing else is worth probing.
-        router, entry = self.prepared_router([4, 1])
-        router.probe_strategy = ProbeStrategy.PIT_POPULAR
+        router, entry = self.prepared_router([4, 1], ProbeStrategy.PIT_POPULAR)
         out = Recorder()
         router.on_timeout(name("X/0"), 0.5, random.Random(0), out)
         assert out.sends[0][1].probe is None
         # A second pending entry loses the deadline tie-break to X/0, yet
         # it is the one the retry carries.
-        router, entry = self.prepared_router([4, 1])
-        router.probe_strategy = ProbeStrategy.PIT_POPULAR
+        router, entry = self.prepared_router([4, 1], ProbeStrategy.PIT_POPULAR)
         router.pit[name("Y/0")] = PitEntry(name("Y/0"), 0.8, incoming={2})
         out = Recorder()
         router.on_timeout(name("X/0"), 0.5, random.Random(0), out)

@@ -1,9 +1,11 @@
-"""Property test: the kept fib-probe order and the counted random draw pick
-exactly what a full scan of the tables picks, with the same RNG draws.
+"""Property test: the kept fib-probe order, the counted random draw and
+pit-probe's PIT scan pick exactly what a full scan of the tables picks,
+with the same RNG draws.
 
 The oracles below are the linear selections the index replaced: a scan of
 every FIB entry's provider costs for fib-probe, and a materialized PIT+FIB
-pool for random. Hypothesis drives one router through random sequences of
+pool for random; pit-probe's is a plain minimum over the worthy pending
+names. Hypothesis drives one router through random sequences of
 FIB writes (repeated and out-of-order timestamps, unreachable providers,
 the router's own id, capacity evictions), data arrivals that cache and
 evict content, cache churn, PIT writes, provider lookups that reorder the
@@ -51,7 +53,8 @@ operations = st.one_of(
     st.tuples(st.just("data"), names, st.sampled_from([1, 4, 5, 99]),
               st.none() | names, providers, times),
     st.tuples(st.just("churn"), st.sampled_from([0.3, 1.0]), seeds),
-    st.tuples(st.just("pit-add"), names, times),
+    # Few arrival counts, so that pit-probe's tie-breaks come into play.
+    st.tuples(st.just("pit-add"), names, times, st.integers(1, 3)),
     st.tuples(st.just("pit-remove"), names),
     st.tuples(st.just("lookup"), names),
     st.tuples(st.just("spt"), st.sampled_from([0, 1, 2])),
@@ -82,6 +85,15 @@ def scan_fib_probe(router: RouterState, sending) -> ContentName | None:
             best_cost = cost
             best_updated = entry.last_update
     return best
+
+
+def scan_pit_popular(router: RouterState, sending) -> ContentName | None:
+    """The most-arrived pending name, then the earliest deadline, then the
+    smallest name, among names neither sent nor held."""
+    pool = [(-entry.arrival_count, entry.deadline, n)
+            for n, entry in router.pit.items()
+            if n != sending and not router.holds(n)]
+    return min(pool)[2] if pool else None
 
 
 def pool_random(router: RouterState, rng: random.Random, sending) -> ContentName | None:
@@ -121,13 +133,15 @@ def check_selection(router: RouterState, sending, seed: int) -> None:
     picked = router.select_probe(0.0, rng, sending)
     if router.probe_strategy == ProbeStrategy.FIB_MAX_COST:
         expected = scan_fib_probe(router, sending)
+    elif router.probe_strategy == ProbeStrategy.PIT_POPULAR:
+        expected = scan_pit_popular(router, sending)
     else:
         expected = pool_random(router, expected_rng, sending)
     assert picked == expected
     assert rng.getstate() == expected_rng.getstate()
 
 
-def apply(router: RouterState, op: tuple, clock: itertools.count) -> None:
+def apply(router: RouterState, op: tuple) -> None:
     kind = op[0]
     if kind == "fib":
         _, name, provider_ids, now = op
@@ -150,9 +164,9 @@ def apply(router: RouterState, op: tuple, clock: itertools.count) -> None:
         _, ratio, seed = op
         inject_cache_churn([router], ratio, random.Random(seed))
     elif kind == "pit-add":
-        _, name, now = op
+        _, name, now, arrivals = op
         router.pit.setdefault(name, PitEntry(name, now + 0.5,
-                                             arrival_count=next(clock)))
+                                             arrival_count=arrivals))
     elif kind == "pit-remove":
         router.pit.pop(op[1], None)
     elif kind == "lookup":
@@ -166,19 +180,18 @@ def apply(router: RouterState, op: tuple, clock: itertools.count) -> None:
 
 
 @pytest.mark.parametrize("strategy", [ProbeStrategy.FIB_MAX_COST,
-                                      ProbeStrategy.RANDOM])
+                                      ProbeStrategy.RANDOM,
+                                      ProbeStrategy.PIT_POPULAR])
 @given(ops=st.lists(operations, min_size=20, max_size=80),
        fib_capacity=st.sampled_from([None, 3, 6]),
-       cs_capacity=st.sampled_from([1, 3]),
-       policy=st.sampled_from(["lru", "fifo"]))
+       cs_capacity=st.sampled_from([1, 3]))
 def test_index_picks_what_the_scan_picks(strategy, ops, fib_capacity,
-                                         cs_capacity, policy):
+                                         cs_capacity):
     graph = TOPOLOGIES[0]
-    router = RouterState(0, ContentStore(cs_capacity, policy), build_spt(graph, 0),
+    router = RouterState(0, ContentStore(cs_capacity), build_spt(graph, 0),
                          graph.adj[0], strategy, fib_capacity=fib_capacity,
                          origin=ORIGIN, nonces=itertools.count(1))
-    clock = itertools.count(1)
     for op in ops:
-        apply(router, op, clock)
+        apply(router, op)
     for sending in [None, *NAMES]:
         check_selection(router, sending, 7)

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from ccnprobe.cli import data_path
+from ccnprobe.engine import Scenario, Simulation
 from ccnprobe.topology import (Graph, TopologyError, apply_failure, build_all_spts,
                                build_spt, load_topology)
 
@@ -35,11 +36,11 @@ def random_connected_graph(rng: random.Random) -> Graph:
     for i in range(1, n):  # random spanning tree keeps it connected
         a = nodes[i]
         b = nodes[rng.randrange(i)]
-        graph.add_edge(a, b, 1.0, None)
+        graph.add_edge(a, b)
     for _ in range(rng.randint(0, 2 * n)):
         a, b = rng.sample(range(n), 2)
         if (a, b) not in graph.links:
-            graph.add_edge(a, b, 1.0, None)
+            graph.add_edge(a, b)
     return graph
 
 
@@ -67,20 +68,13 @@ class TestLoadTopology:
         assert len(graph.links) // 2 == 1
 
     def test_default_link_parameters(self):
-        graph = load_topology("node A\nnode B\nedge A B\n")
-        link = graph.links[(0, 1)]
-        assert link.delay == 1.0
-        assert link.bandwidth is None
-
-    def test_explicit_link_parameters(self):
-        graph = load_topology("node A\nnode B\nedge A B 0.25 1024\n")
-        link = graph.links[(0, 1)]
-        assert link.delay == 0.25
-        assert link.bandwidth == 1024.0
-
-    def test_unlimited_keyword(self):
-        graph = load_topology("node A\nnode B\nedge A B 0.25 unlimited\n")
-        assert graph.links[(0, 1)].bandwidth is None
+        # An edge record carries no link values: every link takes the
+        # scenario's, by default 1 s and unlimited bandwidth.
+        sim = Simulation(Scenario(topology="node A\nnode B\nedge A B\n"))
+        assert set(sim.links) == {(0, 1), (1, 0)}
+        for link in sim.links.values():
+            assert link.delay == 1.0
+            assert link.bandwidth is None
 
     def test_roles_default_to_router(self):
         graph = load_topology("node A\nnode B producer consumer\nedge A B\n")
@@ -98,6 +92,7 @@ class TestLoadTopology:
         ("node A\nnode A\n", "duplicate node"),
         ("node A wizard\n", "unknown role"),
         ("node A\nnode B\nedge A B notanumber\n", "line 3"),
+        ("node A\nnode B\nedge A B 0.25 1024\n", "line 3"),
         ("frob A B\n", "unknown record"),
         ("node\n", "line 1"),
     ])
@@ -170,10 +165,10 @@ class TestBuildSpt:
         graph = Graph()
         for i in range(4):
             graph.add_node(f"n{i}", frozenset({"router"}))
-        graph.add_edge(0, 1, 1.0, None)
-        graph.add_edge(0, 2, 1.0, None)
-        graph.add_edge(1, 3, 1.0, None)
-        graph.add_edge(2, 3, 1.0, None)
+        graph.add_edge(0, 1)
+        graph.add_edge(0, 2)
+        graph.add_edge(1, 3)
+        graph.add_edge(2, 3)
         assert build_spt(graph, 0).first_hop(3) == 1
 
     def test_triangle_inequality(self):
