@@ -14,10 +14,11 @@ from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
-from .engine import ConfigError, Scenario, check_failure_total, run
+from .engine import (ConfigError, Scenario, check_failure_total, run,
+                     shared_network)
 from .metrics import AccountingError, MetricsReport, classify_qos
 from .node import ProbeStrategy
-from .topology import TopologyError, load_topology, read_topology
+from .topology import TopologyError, read_topology
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,7 +58,7 @@ def _parse_failures(text: str) -> tuple[tuple[float, int], ...]:
 
 
 def _parse_optional_float(text: str) -> float | None:
-    return None if text.lower() in ("none", "default", "file") else float(text)
+    return None if text.lower() == "none" else float(text)
 
 
 def _parse_bandwidth(text: str) -> float | str:
@@ -205,10 +206,13 @@ def check_ranges(scenario: Scenario, force: bool) -> None:
 def check_point(scenario: Scenario, force: bool) -> None:
     """Every check a point must pass before it runs, without building a
     simulation: experiment ranges, the scenario's own checks, the topology
-    file, and the failure total against that topology."""
+    file, and the failure total against that topology. The graph comes from
+    `shared_network`, so the points' runs in this process reuse it."""
     check_ranges(scenario, force)
     scenario.validate()
-    check_failure_total(scenario, load_topology(scenario.topology))
+    text, _name = read_topology(scenario.topology)
+    network = shared_network(text, scenario.contents_per_producer)
+    check_failure_total(scenario, network.graph)
 
 
 def scenario_hash(scenario: Scenario) -> str:

@@ -8,7 +8,7 @@ import itertools
 import math
 import random
 from array import array
-from collections import deque
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
@@ -114,7 +114,8 @@ class LinkQueue:
     """One direction of a link: propagation delay, serialization, drop-tail.
 
     `completions` holds the serialization finish times of packets still in
-    the queue or on the wire head; the last one is the busy-until mark.
+    the queue or on the wire head, in ascending order and never more than
+    `queue_cap`; the last one is the busy-until mark.
     """
 
     __slots__ = ("delay", "bandwidth", "queue_cap", "completions")
@@ -123,7 +124,7 @@ class LinkQueue:
         self.delay = delay
         self.bandwidth = bandwidth
         self.queue_cap = queue_cap
-        self.completions: deque[float] = deque()
+        self.completions: list[float] = []
 
 
 def schedule_transmission(link: LinkQueue, wire_bytes: int,
@@ -136,8 +137,9 @@ def schedule_transmission(link: LinkQueue, wire_bytes: int,
     if link.bandwidth is None:
         return now + link.delay
     completions = link.completions
-    while completions and completions[0] <= now:
-        completions.popleft()
+    sent = bisect_right(completions, now)
+    if sent:
+        del completions[:sent]
     if len(completions) >= link.queue_cap:
         return None
     start = completions[-1] if completions else now
@@ -150,8 +152,9 @@ def schedule_transmission(link: LinkQueue, wire_bytes: int,
 
 class IssuePlan(Sequence):
     """Every consumer interest of a run as `(time, consumer, name)` triples,
-    in draw order, held in three arrays: ~20 bytes an issue, and no Python
-    object per issue until one is read. A name is its index in `catalog`.
+    in draw order, held in three arrays: 13 bytes an issue on a topology of
+    up to 256 routers, and no Python object per issue until one is read. A
+    name is its index in `catalog`.
     """
 
     __slots__ = ("times", "consumers", "names", "catalog")
@@ -194,9 +197,13 @@ def generate_interest_events(consumers: list[RouterId],
     and the generator's final state are those of `randrange` at about half
     the cost.
     """
+    # Names stay 4-byte: appending to an "H" array converts more slowly.
     times, names = array("d"), array("I")
+    # Consumers take the narrowest unsigned type that holds every id.
+    top = max(consumers, default=0)
+    code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "Q"
     if not catalog:
-        return IssuePlan(times, array("q"), names, catalog)
+        return IssuePlan(times, array(code), names, catalog)
     n = len(catalog)
     k = n.bit_length()
     draw, bits = rng.random, rng.getrandbits
@@ -211,7 +218,7 @@ def generate_interest_events(consumers: list[RouterId],
             while r >= n:
                 r = bits(k)
             add_name(r)
-    return IssuePlan(times, array("q", issuers) * seconds, names, catalog)
+    return IssuePlan(times, array(code, issuers) * seconds, names, catalog)
 
 
 def inject_cache_churn(routers: list[RouterState], ratio: float,
@@ -380,6 +387,8 @@ class Simulation:
                 self._on_failure(a)
             else:  # EV_END
                 break
+        # No issue is read after the end: free the plan before finalize().
+        self._plan = None
         stats.pending_at_end = sum(
             len(entry.local_issued)
             for router in self.routers.values()

@@ -4,6 +4,8 @@ provider accuracy, and QoS categorization."""
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 
@@ -20,14 +22,14 @@ def packet_loss(sent: int, received: int) -> float:
     return (sent - received) / sent * 100.0
 
 
-def average_delay(samples: list[float]) -> float:
-    """Arithmetic mean of delay samples; 0 for an empty list."""
+def average_delay(samples: Sequence[float]) -> float:
+    """Arithmetic mean of delay samples; 0 for an empty sequence."""
     if not samples:
         return 0.0
     return sum(samples) / len(samples)
 
 
-def jitter(samples: list[float]) -> float:
+def jitter(samples: Sequence[float]) -> float:
     """Sample standard deviation of delays; undefined below 2 samples -> 0."""
     n = len(samples)
     if n < 2:
@@ -88,7 +90,8 @@ class MetricsReport:
     expected_provider_total: int = 0
     hop_count_sum: int = 0           # data hops to reach the origin router
     delivered_data: int = 0
-    response_time_samples: list[float] = field(default_factory=list)  # seconds
+    # Response times in seconds, as unboxed doubles.
+    response_time_samples: array = field(default_factory=lambda: array("d"))
     # Derived at finalize().
     sent_packets: int = 0
     received_packets: int = 0
@@ -110,9 +113,9 @@ class MetricsReport:
         return self.unsatisfied_timeout + self.unsatisfied_failed
 
     @property
-    def delay_samples(self) -> list[float]:
-        """The response times in milliseconds."""
-        return [s * 1000.0 for s in self.response_time_samples]
+    def delay_samples(self) -> array:
+        """The response times in milliseconds, as unboxed doubles."""
+        return array("d", (s * 1000.0 for s in self.response_time_samples))
 
     def finalize(self) -> "MetricsReport":
         """Compute the derived metrics and audit the conservation identities."""

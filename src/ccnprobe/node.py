@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -27,19 +26,19 @@ class ProbeStrategy(str, Enum):
 class ContentStore:
     """Bounded cache of content names with LRU replacement.
 
-    `entries` maps each cached name to None; its order is the replacement
-    order, oldest first.
+    `entries` maps each cached name to None; its insertion order is the
+    replacement order, oldest first: a touch re-inserts the name.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"content store capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.entries: OrderedDict[ContentName, None] = OrderedDict()
+        self.entries: dict[ContentName, None] = {}
 
     def touch(self, name: ContentName) -> None:
         if name in self.entries:
-            self.entries.move_to_end(name)
+            self.entries[name] = self.entries.pop(name)
 
     def insert(self, name: ContentName) -> ContentName | None:
         """Store `name`; returns the evicted name when the store was full.
@@ -48,12 +47,12 @@ class ContentStore:
         anything.
         """
         entries = self.entries
-        if name in entries:
-            entries.move_to_end(name)
-            return None
         evicted = None
-        if len(entries) >= self.capacity:
-            evicted, _ = entries.popitem(last=False)
+        if name in entries:
+            del entries[name]
+        elif len(entries) >= self.capacity:
+            evicted = next(iter(entries))
+            del entries[evicted]
         entries[name] = None
         return evicted
 
@@ -124,7 +123,8 @@ class RouterState:
         # knowledge every deployment has); empty means broadcast on FIB miss.
         self.producer_routes = producer_routes or {}
         self.pit: dict[ContentName, PitEntry] = {}
-        self.fib: OrderedDict[ContentName, FibEntry] = OrderedDict()
+        # Insertion order is LRU order, oldest first: a use re-inserts.
+        self.fib: dict[ContentName, FibEntry] = {}
         # sequential only: insertion-ordered name ring for the probe cursor;
         # names evicted from the FIB are skipped lazily.
         self._fib_ring: list[ContentName] | None = (
@@ -308,7 +308,7 @@ class RouterState:
         if (self.fib_entry_ttl is not None and now is not None
                 and now - entry.last_update > self.fib_entry_ttl):
             return None
-        self.fib.move_to_end(name)
+        self.fib[name] = self.fib.pop(name)
         best_rid = None
         best_cost = INF
         spt = self.spt
@@ -374,23 +374,24 @@ class RouterState:
         entry = fib.get(name)
         if entry is None:
             if self.fib_capacity is not None and len(fib) >= self.fib_capacity:
-                _, evicted = fib.popitem(last=False)
+                evicted = fib.pop(next(iter(fib)))
                 if order is not None:
                     del order[bisect_left(order, evicted.rank)]
                 if self._count_held and self.holds(evicted.name):
                     self._held_in_fib -= 1
-            entry = FibEntry(name, [], now)
+            # Built at its first providers' size: appends would reserve four.
+            entry = FibEntry(name, list(dict.fromkeys(providers)), now)
             fib[name] = entry
             if self._fib_ring is not None:
                 self._fib_ring.append(name)
             if self._count_held and self.holds(name):
                 self._held_in_fib += 1
         else:
-            fib.move_to_end(name)
+            fib[name] = fib.pop(name)
+            for rid in providers:
+                if rid not in entry.providers:
+                    entry.providers.append(rid)
         known = entry.providers
-        for rid in providers:
-            if rid not in known:
-                known.append(rid)
         while len(known) > PROBE_RESPONSE_CAPACITY:
             worst_i = 0
             worst_cost = -1.0

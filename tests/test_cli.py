@@ -180,6 +180,17 @@ class TestRunCommand:
                      "--set", "timeout=nan"]) == EXIT_CONFIG
         assert not (out / "run.csv").exists()
 
+    @pytest.mark.parametrize("spelling", ["file", "default"])
+    def test_fib_ttl_word_other_than_none_exits_2_before_any_event(
+            self, cfg, tmp_path, monkeypatch, spelling):
+        def refuse(self):
+            raise AssertionError("a simulation ran")
+        monkeypatch.setattr(Simulation, "run", refuse)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--set", f"fib_entry_ttl={spelling}"]) == EXIT_CONFIG
+        assert not (out / "run.csv").exists()
+
     def test_force_allows_out_of_range(self, cfg, tmp_path):
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path),
                      "--set", "cache_size_ratio=0.9", "--force", "--repeats", "1"])
@@ -343,6 +354,7 @@ class TestScenarioDerivedKeys:
     @pytest.mark.parametrize("item,key,expected", [
         ("fib_capacity=unlimited", "fib_capacity", None),
         ("fib_capacity=none", "fib_capacity", None),
+        ("fib_entry_ttl=none", "fib_entry_ttl", None),
         ("link_bandwidth=unlimited", "link_bandwidth", "unlimited"),
         ("producer_routing=yes", "producer_routing", True),
         ("failures=1:2", "failures", ((1.0, 2),)),

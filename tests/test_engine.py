@@ -2,9 +2,11 @@ import gc
 import math
 import random
 import weakref
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from ccnprobe import engine
@@ -142,6 +144,12 @@ class TestIssuePlan:
         assert list(plan[1:]) == triples[1:]
         assert len(plan[1:]) == len(triples) - 1
         assert plan[7] == triples[7] and plan[-1] == triples[-1]
+
+    def test_an_issue_costs_at_most_13_bytes(self):
+        plan = self.plan(self.scenario())
+        columns = (plan.times, plan.consumers, plan.names)
+        assert all(len(column) == len(plan) for column in columns)
+        assert sum(column.itemsize for column in columns) <= 13
 
     def test_a_simulation_issues_exactly_its_plan(self, monkeypatch):
         scenario = self.scenario()
@@ -316,6 +324,41 @@ class TestScheduleTransmission:
             start = arrival - size * 8 / 8000.0
             assert not finish or start >= finish[-1] - 1e-12
             finish.append(arrival)
+
+    @staticmethod
+    def deque_reference(sends, delay, bandwidth, queue_cap):
+        """Drop-tail over a deque of finish times, popped from the left."""
+        completions = deque()
+        arrivals = []
+        for now, size in sends:
+            while completions and completions[0] <= now:
+                completions.popleft()
+            if len(completions) >= queue_cap:
+                arrivals.append(None)
+                continue
+            start = max(completions[-1], now) if completions else now
+            completions.append(start + size * 8.0 / bandwidth)
+            arrivals.append(completions[-1] + delay)
+        return arrivals
+
+    @given(gaps_and_sizes=st.lists(
+               st.tuples(st.sampled_from([0.0, 0.001, 0.05, 0.3, 2.0]),
+                         st.integers(1, 1200)), max_size=80),
+           delay=st.sampled_from([0.0, 0.01, 1.0]),
+           bandwidth=st.sampled_from([800.0, 32000.0, 1e6]),
+           queue_cap=st.integers(1, 8))
+    def test_same_arrivals_and_drops_as_a_deque(self, gaps_and_sizes, delay,
+                                                  bandwidth, queue_cap):
+        from ccnprobe.engine import schedule_transmission
+        sends, now = [], 0.0
+        for gap, size in gaps_and_sizes:
+            now += gap
+            sends.append((now, size))
+        link = LinkQueue(delay, bandwidth, queue_cap)
+        arrivals = [schedule_transmission(link, size, now) for now, size in sends]
+        assert arrivals == self.deque_reference(sends, delay, bandwidth,
+                                                queue_cap)
+        assert len(link.completions) <= queue_cap
 
 
 class TestFailureInjection:

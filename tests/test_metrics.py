@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -154,7 +155,22 @@ class TestFinalize:
 
     def test_delay_samples_are_response_times_in_ms(self):
         report = self.complete_report()
-        assert report.delay_samples == [100.0, 200.0, 300.0]
+        assert list(report.delay_samples) == [100.0, 200.0, 300.0]
+
+    def test_finalize_allocates_under_16_bytes_a_sample(self):
+        # A boxed float in a list costs 32 bytes; an unboxed double 8.
+        n = 100_000
+        report = MetricsReport(duration=10.0, issued_interests=n,
+                               satisfied_count=n)
+        for i in range(n):
+            report.response_time_samples.append(i * 1e-6)
+        tracemalloc.start()
+        try:
+            report.finalize()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 16
 
     def test_interest_conservation_enforced(self):
         report = self.complete_report()

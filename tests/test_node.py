@@ -1,7 +1,12 @@
 import itertools
 import random
+import struct
+import sys
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ccnprobe.model import LOCAL, ContentName, DataPacket, InterestPacket
 from ccnprobe.node import ContentStore, PitEntry, ProbeStrategy, RouterState
@@ -105,6 +110,88 @@ class TestContentStore:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             ContentStore(0)
+
+
+TABLE_NAMES = [name(f"P/{i}") for i in range(6)]
+table_names = st.sampled_from(TABLE_NAMES)
+table_ops = st.one_of(
+    st.tuples(st.just("cache"), table_names),
+    st.tuples(st.just("touch"), table_names),
+    st.tuples(st.just("reinsert"), table_names),
+    st.tuples(st.just("churn"), table_names),
+    st.tuples(st.just("lookup"), table_names),
+    # Router 0 is the router itself; 1-4 are its star's other nodes.
+    st.tuples(st.just("fib"), table_names,
+              st.lists(st.integers(0, 4), min_size=1, max_size=4)),
+    st.tuples(st.just("probe"), st.integers(0, 2**16)),
+)
+
+
+@given(strategy=st.sampled_from(list(ProbeStrategy)),
+       cs_capacity=st.integers(1, 3), fib_capacity=st.sampled_from([2, 3, None]),
+       fib_entry_ttl=st.sampled_from([None, 1.0]),
+       steps=st.lists(st.tuples(table_ops, st.sampled_from([0.0, 0.5, 2.0])),
+                      min_size=20, max_size=60))
+def test_table_order_follows_an_ordered_dict_oracle(strategy, cs_capacity,
+                                                    fib_capacity, fib_entry_ttl,
+                                                    steps):
+    """The content store's and the FIB's key order is LRU order, oldest
+    first, as an OrderedDict with `move_to_end` and `popitem(last=False)`
+    keeps it, through every operation that reads or writes either table."""
+    router = make_router(strategy=strategy, cs_capacity=cs_capacity,
+                         fib_capacity=fib_capacity, fib_entry_ttl=fib_entry_ttl)
+    cs = OrderedDict()
+    fib = OrderedDict()   # name -> [last_update, providers]
+    now = 0.0
+    for op, gap in steps:
+        now += gap
+        kind, target = op[0], op[1]
+        if kind == "cache":   # as on_data caches a data packet's name
+            if router.holds(target):
+                router.cs.touch(target)
+                cs.move_to_end(target)
+            else:
+                router._cache(target)
+                if len(cs) >= cs_capacity:
+                    cs.popitem(last=False)
+                cs[target] = None
+        elif kind == "touch":
+            router.cs.touch(target)
+            if target in cs:
+                cs.move_to_end(target)
+        elif kind == "reinsert":   # of a cached name only: no eviction
+            if target in cs:
+                assert router.cs.insert(target) is None
+                cs.move_to_end(target)
+        elif kind == "churn":
+            router.evict_cached(target)
+            cs.pop(target, None)
+        elif kind == "lookup":
+            router.select_best_provider(target, now=now)
+            if target in fib and (fib_entry_ttl is None
+                                  or now - fib[target][0] <= fib_entry_ttl):
+                fib.move_to_end(target)
+        elif kind == "fib":
+            router.fib_update(target, op[2], now)
+            providers = [rid for rid in op[2] if rid != 0]
+            if providers:
+                if target in fib:
+                    fib.move_to_end(target)
+                else:
+                    if fib_capacity is not None and len(fib) >= fib_capacity:
+                        fib.popitem(last=False)
+                    fib[target] = [now, []]
+                fib[target][0] = now
+                known = fib[target][1]
+                for rid in providers:
+                    if rid not in known:
+                        known.append(rid)
+        else:   # probe selection reads both tables and must not reorder them
+            router.select_probe(now, random.Random(target))
+        assert list(router.cs.entries) == list(cs)
+        assert list(router.fib) == list(fib)
+        assert [(e.last_update, e.providers) for e in router.fib.values()] \
+            == [(t, p) for t, p in fib.values()]
 
 
 class TestSelectProbe:
@@ -298,6 +385,19 @@ class TestFibUpdate:
         router = make_router()
         router.fib_update(name("X/0"), [0], 0.0)
         assert name("X/0") not in router.fib
+
+    def test_new_entry_provider_list_is_sized_to_its_providers(self):
+        # CPython rounds an exactly sized list up to an even slot count; an
+        # appended-to list would hold four slots for one or two providers.
+        router = make_router()
+        router.fib_update(name("X/0"), [2], 0.0)
+        router.fib_update(name("X/1"), [1, 3, 1], 0.0)
+        assert router.fib[name("X/1")].providers == [1, 3]
+        pointer = struct.calcsize("P")
+        for entry in router.fib.values():
+            spare = ((sys.getsizeof(entry.providers) - sys.getsizeof([]))
+                     // pointer - len(entry.providers))
+            assert spare <= 1
 
     def test_over_capacity_trim_never_sees_own_id(self):
         router = make_router()
