@@ -4,7 +4,7 @@ interest/data/timeout processing procedures with probe selection."""
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -76,11 +76,19 @@ class PitEntry:
 
 @dataclass(slots=True)
 class FibEntry:
-    name: ContentName
+    # Never changed in place: a router's one-provider entries share a list.
     providers: list[RouterId]
     last_update: float
-    # The entry's key in the fib-probe order (fib-probe routers only).
-    rank: tuple[float, float, ContentName] | None = None
+
+
+def _slot(times: list[float], names: list[ContentName], updated: float,
+          name: ContentName) -> int:
+    """Where (`updated`, `name`) sits, or belongs, in one cost's lists."""
+    i = bisect_left(times, updated)
+    # Where times tie, the names ascend.
+    while i < len(times) and times[i] == updated and names[i] < name:
+        i += 1
+    return i
 
 
 class RouterState:
@@ -125,15 +133,18 @@ class RouterState:
         self.pit: dict[ContentName, PitEntry] = {}
         # Insertion order is LRU order, oldest first: a use re-inserts.
         self.fib: dict[ContentName, FibEntry] = {}
+        # The one `[rid]` list that every entry naming only `rid` holds.
+        self._solo: dict[RouterId, list[RouterId]] = {}
         # sequential only: insertion-ordered name ring for the probe cursor;
         # names evicted from the FIB are skipped lazily.
         self._fib_ring: list[ContentName] | None = (
             [] if probe_strategy == ProbeStrategy.SEQUENTIAL else None)
         self.seq_cursor = 0
-        # fib-probe only: every FIB entry's rank, (-min provider cost,
-        # last_update, name), kept sorted by the FIB writes.
-        self._fib_order: list[tuple[float, float, ContentName]] | None = (
-            [] if probe_strategy == ProbeStrategy.FIB_MAX_COST else None)
+        # fib-probe only: the FIB's names by nearest-provider cost, each cost
+        # as (update times ascending, names in the same order, by name where
+        # the times tie), kept by the FIB writes.
+        self._by_cost: dict[float, tuple[list[float], list[ContentName]]] | None = (
+            {} if probe_strategy == ProbeStrategy.FIB_MAX_COST else None)
         # random only: how many FIB names this router holds.
         self._count_held = probe_strategy == ProbeStrategy.RANDOM
         self._held_in_fib = 0
@@ -142,11 +153,12 @@ class RouterState:
     def replace_spt(self, spt: SPTable, neighbors: list[RouterId]) -> None:
         self.spt = spt
         self.neighbors = sorted(neighbors)
-        if self._fib_order is not None:
-            for entry in self.fib.values():
-                entry.rank = (-self._min_cost(entry.providers),
-                              entry.last_update, entry.name)
-            self._fib_order = sorted(entry.rank for entry in self.fib.values())
+        if self._by_cost is not None:
+            self._by_cost = {}
+            # In update order, so that each name goes at its list's end.
+            for name, entry in sorted(self.fib.items(),
+                                      key=lambda item: (item[1].last_update, item[0])):
+                self._rank(name, entry)
 
     def holds(self, name: ContentName) -> bool:
         return name in self.origin or name in self.cs.entries
@@ -183,10 +195,11 @@ class RouterState:
         (or the basic-ccn strategy) yield no probe; all tie-breaks are fully
         ordered so reruns pick identically.
 
-        Cost per call: fib-probe reads its sorted order from the front,
-        O(held names skipped + 1); random counts its pool in O(N_PIT) and
-        walks at most half the FIB from the nearer end to the drawn index;
-        pit-probe scans the PIT; sequential advances its cursor.
+        Cost per call: fib-probe walks its costs from the highest down,
+        each cost's names oldest update first, O(costs + held names skipped
+        + 1); random counts its pool in O(N_PIT) and walks at most half the
+        FIB from the nearer end to the drawn index; pit-probe scans the PIT;
+        sequential advances its cursor.
         """
         strategy = self.probe_strategy
         if strategy == ProbeStrategy.NONE:
@@ -212,10 +225,12 @@ class RouterState:
         if strategy == ProbeStrategy.FIB_MAX_COST:
             cached = self.cs.entries
             origin = self.origin
-            for _cost, _updated, name in self._fib_order:
-                # Most names passed over are cached, so that test comes first.
-                if name not in cached and name not in origin and name != sending:
-                    return name
+            by_cost = self._by_cost
+            for cost in sorted(by_cost, reverse=True):
+                for name in by_cost[cost][1]:
+                    # Most names passed over are cached, so that test comes first.
+                    if name not in cached and name not in origin and name != sending:
+                        return name
             return None
         if strategy == ProbeStrategy.SEQUENTIAL:
             ring = self._fib_ring
@@ -361,26 +376,34 @@ class RouterState:
         infinitely far); a brand-new entry may evict the least-recently-used
         FIB entry when the table is full.
 
-        Under fib-probe each write also moves the entry's rank in the sorted
-        probe order: O(log N_FIB) comparisons and a list shift. Under random
-        it keeps the count of held FIB names.
+        Provider lists are never changed in place: an entry naming one
+        provider holds the router's shared list for it, and a write that
+        adds providers builds the entry a new list at its size.
+
+        Under fib-probe each write also moves the name within its cost's
+        lists: O(log N_FIB) comparisons, a list shift out of the old place,
+        and nearly always an append at the end of the new cost's lists.
+        Under random it keeps the count of held FIB names.
         """
         if self.id in providers:
             providers = [rid for rid in providers if rid != self.id]
             if not providers:
                 return
         fib = self.fib
-        order = self._fib_order
+        by_cost = self._by_cost
         entry = fib.get(name)
         if entry is None:
             if self.fib_capacity is not None and len(fib) >= self.fib_capacity:
-                evicted = fib.pop(next(iter(fib)))
-                if order is not None:
-                    del order[bisect_left(order, evicted.rank)]
-                if self._count_held and self.holds(evicted.name):
+                evicted_name = next(iter(fib))
+                evicted = fib.pop(evicted_name)
+                if by_cost is not None:
+                    self._unrank(evicted_name, evicted)
+                if self._count_held and self.holds(evicted_name):
                     self._held_in_fib -= 1
-            # Built at its first providers' size: appends would reserve four.
-            entry = FibEntry(name, list(dict.fromkeys(providers)), now)
+            known = list(dict.fromkeys(providers))
+            if len(known) == 1:
+                known = self._solo.setdefault(known[0], known)
+            entry = FibEntry(known, now)
             fib[name] = entry
             if self._fib_ring is not None:
                 self._fib_ring.append(name)
@@ -388,10 +411,13 @@ class RouterState:
                 self._held_in_fib += 1
         else:
             fib[name] = fib.pop(name)
+            if by_cost is not None:
+                self._unrank(name, entry)
+            known = entry.providers
             for rid in providers:
-                if rid not in entry.providers:
-                    entry.providers.append(rid)
-        known = entry.providers
+                if rid not in known:
+                    known = known + [rid]
+            entry.providers = known
         while len(known) > PROBE_RESPONSE_CAPACITY:
             worst_i = 0
             worst_cost = -1.0
@@ -404,11 +430,24 @@ class RouterState:
                     worst_i = i
             known.pop(worst_i)
         entry.last_update = now
-        if order is not None:
-            if entry.rank is not None:
-                del order[bisect_left(order, entry.rank)]
-            entry.rank = (-self._min_cost(known), now, name)
-            insort(order, entry.rank)
+        if by_cost is not None:
+            self._rank(name, entry)
+
+    def _rank(self, name: ContentName, entry: FibEntry) -> None:
+        """Put `name` into fib-probe's lists by `entry`'s cost and time."""
+        cost = self._min_cost(entry.providers)
+        times, names = (self._by_cost.get(cost)
+                        or self._by_cost.setdefault(cost, ([], [])))
+        i = _slot(times, names, entry.last_update, name)
+        times.insert(i, entry.last_update)
+        names.insert(i, name)
+
+    def _unrank(self, name: ContentName, entry: FibEntry) -> None:
+        """Take `name` out of fib-probe's lists, before `entry` changes."""
+        times, names = self._by_cost[self._min_cost(entry.providers)]
+        i = _slot(times, names, entry.last_update, name)
+        del times[i]
+        del names[i]
 
     def _min_cost(self, providers: list[RouterId]) -> float:
         """SPT cost of the nearest provider; unreachable ones count as INF."""

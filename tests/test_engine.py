@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from ccnprobe import engine
-from ccnprobe.cli import data_path
+from ccnprobe.cli import check_point, data_path
 from ccnprobe.engine import (EV_END, EV_FAILURE, EV_ISSUE, EV_SECOND,
                              EV_TIMEOUT, ConfigError, LinkQueue, Scenario,
                              Simulation, generate_interest_events,
                              inject_cache_churn, inject_failure, run)
-from ccnprobe.model import ContentName, InterestPacket, content_catalog
-from ccnprobe.node import ContentStore, RouterState
+from ccnprobe.model import (PROBE_RESPONSE_CAPACITY, ContentName, InterestPacket,
+                            content_catalog)
+from ccnprobe.node import ContentStore, ProbeStrategy, RouterState
 from ccnprobe.topology import build_all_spts, build_spt, load_topology
+from test_probe_index import scan_fib_probe
 
 LINE_TOPO = """
 node A producer consumer
@@ -736,3 +738,72 @@ class TestFailureTotals:
         sim = Simulation(self.sprint52(((10.0, 20), (20.0, 13))))
         sim.run()
         assert sim.graph.pure_routers() == []
+
+
+@st.composite
+def random_scenarios(draw, strategy: str) -> Scenario:
+    """A short `strategy` run on a random connected graph of 4-12 nodes with
+    random roles, table sizes, churn and failures, inside `RANGES`."""
+    n = draw(st.integers(4, 12))
+    roles = draw(st.lists(st.sampled_from(["", "", " consumer", " producer",
+                                           " producer consumer"]),
+                          min_size=n, max_size=n))
+    if not any("producer" in r for r in roles):
+        roles[0] += " producer"
+    if not any("consumer" in r for r in roles):
+        roles[-1] += " consumer"
+    # A random tree, so the graph is connected, plus a few extra edges.
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=n)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    text = "".join(f"node n{i}{r}\n" for i, r in enumerate(roles))
+    text += "".join(f"edge n{a} n{b}\n" for a, b in sorted(edges))
+    duration = float(draw(st.integers(2, 20)))
+    pure = roles.count("")
+    failures = []
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, int(duration)))
+        if pure:
+            count = draw(st.integers(1, pure))
+            pure -= count
+            failures.append((float(at), count))
+    return Scenario(
+        topology=text, sim_duration=duration,
+        interest_frequency=draw(st.integers(1, 30)),
+        cache_size_ratio=draw(st.sampled_from([0.01, 0.1, 0.4])),
+        cache_update_ratio=draw(st.sampled_from([0.0, 0.01, 0.5])),
+        probe_strategy=strategy,
+        failures=tuple(failures), rng_seed=draw(st.integers(1, 2**16)),
+        contents_per_producer=draw(st.sampled_from([4, 20])),
+        link_delay=draw(st.sampled_from([0.005, 0.05])),
+        link_bandwidth=draw(st.sampled_from(["unlimited", 32768.0])),
+        queue_capacity=draw(st.sampled_from([2, 16])),
+        fib_capacity=draw(st.sampled_from([None, 2, 8, 256])),
+        producer_routing=draw(st.booleans()))
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in ProbeStrategy])
+@given(data=st.data())
+def test_random_scenarios_run_reproducibly_with_sound_fibs(strategy, data):
+    """Any scenario inside the ranges runs to the end and audits clean in
+    `finalize()`, a rerun gives the same CSV row, and the final FIBs keep
+    their bounds: no FIB over `fib_capacity`, no entry over the provider cap
+    or listing its own router, and every fib-probe router picks what a full
+    scan of its FIB picks."""
+    scenario = data.draw(random_scenarios(strategy))
+    check_point(scenario, force=False)
+    sim = Simulation(scenario)
+    report = sim.run()
+    assert Simulation(scenario).run().csv_values() == report.csv_values()
+    for rid, router in sim.routers.items():
+        if scenario.fib_capacity is not None:
+            assert len(router.fib) <= scenario.fib_capacity
+        for entry in router.fib.values():
+            assert len(entry.providers) <= PROBE_RESPONSE_CAPACITY
+            assert rid not in entry.providers
+        if router.probe_strategy == ProbeStrategy.FIB_MAX_COST:
+            for sending in [None, *router.fib]:
+                assert (router.select_probe(0.0, random.Random(0), sending)
+                        == scan_fib_probe(router, sending))

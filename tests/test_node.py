@@ -1,13 +1,17 @@
 import itertools
+import os
 import random
 import struct
+import subprocess
 import sys
 from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ccnprobe
 from ccnprobe.model import LOCAL, ContentName, DataPacket, InterestPacket
 from ccnprobe.node import ContentStore, PitEntry, ProbeStrategy, RouterState
 from ccnprobe.topology import build_spt, load_topology
@@ -192,6 +196,66 @@ def test_table_order_follows_an_ordered_dict_oracle(strategy, cs_capacity,
         assert list(router.fib) == list(fib)
         assert [(e.last_update, e.providers) for e in router.fib.values()] \
             == [(t, p) for t, p in fib.values()]
+
+
+# Router 0's views of STAR_TAIL's five routers: the star, a ring, and a split
+# that leaves 3 and 4 unreachable.
+SPT_VIEWS = [load_topology(text) for text in (
+    STAR_TAIL,
+    "node n0\nnode n1\nnode n2\nnode n3\nnode n4\n"
+    "edge n0 n1\nedge n1 n2\nedge n2 n3\nedge n3 n4\nedge n4 n0\n",
+    "node n0\nnode n1\nnode n2\nnode n3\nnode n4\n"
+    "edge n0 n1\nedge n1 n2\nedge n3 n4\n",
+)]
+# Repeats, the router's own id 0 and the unreachable 99 included.
+provider_lists = st.lists(st.sampled_from([0, 1, 2, 3, 4, 99]),
+                          min_size=1, max_size=7)
+write_ops = st.one_of(
+    st.tuples(st.just("fib"), table_names, provider_lists),
+    st.tuples(st.just("data"), table_names, st.sampled_from([0, 1, 2, 3, 4, 99]),
+              st.none() | table_names, provider_lists),
+    st.tuples(st.just("spt"), st.integers(0, len(SPT_VIEWS) - 1)),
+)
+
+
+@given(strategy=st.sampled_from(list(ProbeStrategy)),
+       fib_capacity=st.sampled_from([2, 4, None]),
+       steps=st.lists(st.tuples(write_ops, st.sampled_from([0.0, 0.5])),
+                      min_size=20, max_size=60))
+def test_a_write_leaves_every_other_entrys_providers_alone(strategy, fib_capacity,
+                                                           steps):
+    """A router's one-provider entries share one list per provider, so no
+    write may change a provider list in place: after each `fib_update`,
+    `on_data` (which writes its probe's entry and its own) or SPT
+    replacement, every entry it did not write holds the providers it held
+    before, and every one-provider entry for a provider holds that one list."""
+    router = make_router(strategy=strategy, fib_capacity=fib_capacity)
+    now = 0.0
+    for op, gap in steps:
+        now += gap
+        before = {n: list(entry.providers) for n, entry in router.fib.items()}
+        kind = op[0]
+        if kind == "fib":
+            written = {op[1]}
+            router.fib_update(op[1], op[2], now)
+        elif kind == "data":
+            _, target, provider, probe, response = op
+            written = {target, probe}
+            router.pit.setdefault(target, PitEntry(target, now + 0.5, incoming={1}))
+            router.on_data(DataPacket(target, provider, 64, probe, response[:5]),
+                           1, now, Recorder())
+        else:
+            written = set()
+            graph = SPT_VIEWS[op[1]]
+            router.replace_spt(build_spt(graph, 0), graph.adj[0])
+        for n, entry in router.fib.items():
+            if n in before and n not in written:
+                assert entry.providers == before[n]
+        solo = {}
+        for entry in router.fib.values():
+            if len(entry.providers) == 1:
+                assert solo.setdefault(entry.providers[0],
+                                       entry.providers) is entry.providers
 
 
 class TestSelectProbe:
@@ -404,6 +468,42 @@ class TestFibUpdate:
         router.fib_update(name("X/0"), [4, 1, 2, 3], 0.0)
         router.fib_update(name("X/0"), [0, 99], 1.0)
         assert router.fib[name("X/0")].providers == [4, 1, 2, 3, 99]
+
+    @pytest.mark.parametrize("strategy", ["basic-ccn", "fib-probe", "random"])
+    def test_an_entry_costs_at_most_225_bytes(self, strategy):
+        # A fresh interpreter: no earlier test's freed objects sit in the
+        # free lists that the writes reuse.
+        src = str(Path(ccnprobe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", FIB_BYTES, strategy, STAR_TAIL],
+                             env=env, capture_output=True, text=True, check=True)
+        assert float(out.stdout) <= 225
+
+
+# Traced bytes a FIB entry costs, FIB dict included, for one router whose
+# 256-entry FIB takes 20 000 one-provider writes over 2000 names in LRU use.
+# Run as `python -c FIB_BYTES <strategy> <topology text>`.
+FIB_BYTES = """
+import random, sys, tracemalloc
+from ccnprobe.model import ContentName
+from ccnprobe.node import ContentStore, ProbeStrategy, RouterState
+from ccnprobe.topology import build_spt, load_topology
+
+graph = load_topology(sys.argv[2])
+rng = random.Random(1)
+names = [ContentName("P", i) for i in range(2000)]
+writes = [(rng.choice(names), [rng.randrange(1, 5)]) for _ in range(20000)]
+router = RouterState(0, ContentStore(8), build_spt(graph, 0), graph.adj[0],
+                     ProbeStrategy(sys.argv[1]), fib_capacity=256)
+# Empty the float and list free lists, so that every object the FIB keeps
+# is allocated, and so traced, while tracing is on.
+held = [i + 0.5 for i in range(200)], [[] for _ in range(200)]
+tracemalloc.start()
+for i, (name, providers) in enumerate(writes):
+    router.fib_update(name, providers, i * 0.01)
+print(tracemalloc.get_traced_memory()[0] / len(router.fib))
+"""
 
 
 class TestOnInterest:
