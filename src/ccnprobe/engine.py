@@ -270,7 +270,9 @@ def shared_network(text: str, contents_per_producer: int) -> Network:
     origins = dict.fromkeys(graph.nodes, frozenset())
     for rid in producers:
         prefix = graph.name_of[rid]
-        origins[rid] = frozenset(n for n in catalog if n.prefix == prefix)
+        # Built from a dict, a frozenset is sized once for its final length.
+        origins[rid] = frozenset(dict.fromkeys(
+            n for n in catalog if n.prefix == prefix))
     return Network(graph, catalog, build_all_spts(graph), origins)
 
 
@@ -373,10 +375,22 @@ class Simulation:
     def run(self) -> MetricsReport:
         heap = self._heap
         stats = self.stats
+        routers = self.routers
+        rng = self.rng
         while heap:
             now, _, kind, a, b, c = heappop(heap)
             if kind == EV_ARRIVAL:
-                self._on_arrival(now, a, b, c)
+                # a: the packet; b: its link's (src, dst); c: a data packet's hops
+                router = routers.get(b[1])
+                if router is None or b not in self.links:
+                    self._inflight_drops += 1
+                elif type(a) is InterestPacket:
+                    stats.received_interests += 1
+                    router.on_interest(a, b[0], now, rng, self)
+                else:
+                    stats.received_data += 1
+                    a.hop_count = c
+                    router.on_data(a, b[0], now, self)
             elif kind == EV_TIMEOUT:
                 self._on_timeout_event(now, a, b, c)
             elif kind == EV_ISSUE:
@@ -403,6 +417,11 @@ class Simulation:
         An issue of second s lies in [s, s + 1], the end included when
         s + random() rounds up; so every issue still unqueued after this
         tick lies at or after the next one.
+
+        Once the queued issues pass half the plan, they are deleted from it,
+        so the plan never holds more than twice the issues still to queue.
+        `_issue_seq0` is the sequence number of the plan's first issue, so
+        every issue keeps the number reserved for it.
         """
         ratio = self.scenario.cache_update_ratio
         if second and ratio > 0:
@@ -414,6 +433,10 @@ class Simulation:
             heappush(self._heap, (time, self._issue_seq0 + i, EV_ISSUE,
                                   consumer, name, None))
             i += 1
+        if 2 * i > len(times):
+            del plan.times[:i], plan.consumers[:i], plan.names[:i]
+            self._issue_seq0 += i
+            i = 0
         self._next_issue = i
 
     def _on_issue(self, now: float, rid: RouterId, name: ContentName) -> None:
@@ -421,21 +444,6 @@ class Simulation:
         self.stats.issued_interests += 1
         self.routers[rid].on_interest(InterestPacket(name, next(self.nonces)),
                                       LOCAL, now, self.rng, self)
-
-    def _on_arrival(self, now: float, packet, key: tuple[RouterId, RouterId],
-                    hops: int) -> None:
-        src, dst = key
-        router = self.routers.get(dst)
-        if router is None or key not in self.links:
-            self._inflight_drops += 1
-            return
-        if type(packet) is InterestPacket:
-            self.stats.received_interests += 1
-            router.on_interest(packet, src, now, self.rng, self)
-        else:
-            self.stats.received_data += 1
-            packet.hop_count = hops
-            router.on_data(packet, src, now, self)
 
     def _on_timeout_event(self, now: float, rid: RouterId, name: ContentName,
                           deadline: float) -> None:
@@ -479,10 +487,12 @@ class Simulation:
         link = self.links.get(key)
         if link is None:
             return  # interface severed by a failure: sent but lost
-        arrival = schedule_transmission(link, wire_size(packet), now)
+        # An unlimited link ignores the size.
+        arrival = schedule_transmission(
+            link, 0 if link.bandwidth is None else wire_size(packet), now)
         if arrival is None:
             return  # drop-tail loss: sent but never received
-        self._push(arrival, EV_ARRIVAL, packet, key, hops)
+        heappush(self._heap, (arrival, next(self._seq), EV_ARRIVAL, packet, key, hops))
 
     def deliver(self, data: DataPacket, issued: Sequence[float],
                 expected_provider: RouterId | None, now: float) -> None:

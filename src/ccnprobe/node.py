@@ -28,6 +28,13 @@ class ContentStore:
 
     `entries` maps each cached name to None; its insertion order is the
     replacement order, oldest first: a touch re-inserts the name.
+
+    Every touch and eviction leaves a deleted slot in the dict, and CPython
+    sizes a dict by the slots used rather than the names held, so a store in
+    steady use grows to about twice its fresh table. Every
+    `max(1, capacity // 4)` evictions the dict is rebuilt at its fresh size:
+    at most four name copies per eviction. The rebuild replaces `entries`,
+    so no caller may hold it across an insert.
     """
 
     def __init__(self, capacity: int):
@@ -35,6 +42,8 @@ class ContentStore:
             raise ValueError(f"content store capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.entries: dict[ContentName, None] = {}
+        # Evictions left before the next rebuild.
+        self._until_rebuild = max(1, capacity // 4)
 
     def touch(self, name: ContentName) -> None:
         if name in self.entries:
@@ -53,6 +62,12 @@ class ContentStore:
         elif len(entries) >= self.capacity:
             evicted = next(iter(entries))
             del entries[evicted]
+            self._until_rebuild -= 1
+            if not self._until_rebuild:
+                self._until_rebuild = max(1, self.capacity // 4)
+                entries[name] = None
+                self.entries = dict(entries)
+                return evicted
         entries[name] = None
         return evicted
 
@@ -487,12 +502,13 @@ class RouterState:
             return "pit-aggregated"
 
         probe = interest.probe
-        if self.holds(name):
+        cs = self.cs
+        if name in self.origin or name in cs.entries:
             # Hit: answer from the content store, replicating probe fields.
-            self.cs.touch(name)
+            cs.touch(name)
             response = interest.probe_response   # shared, never written
             if probe is not None and self.holds(probe):
-                self.cs.touch(probe)
+                cs.touch(probe)
                 if self.id not in response and len(response) < PROBE_RESPONSE_CAPACITY:
                     response = response + [self.id]
             data = DataPacket(name, self.id, self.payload_size, probe, response)
@@ -502,17 +518,18 @@ class RouterState:
                 out.transmit(self.id, in_iface, data, now)
             return None
 
-        entry = PitEntry(name, deadline=now + self.timeout,
-                         seen_nonces={interest.nonce})
+        # Every field given: a default factory costs a call per field.
         if in_iface == LOCAL:
-            entry.local_issued.append(now)
+            entry = PitEntry(name, now + self.timeout, set(), {interest.nonce},
+                             1, [now], set())
         else:
-            entry.incoming.add(in_iface)
+            entry = PitEntry(name, now + self.timeout, {in_iface},
+                             {interest.nonce}, 1, [], set())
         self.pit[name] = entry
 
         # Miss: record ourselves as a probe provider when it applies.
         if probe is not None and self.holds(probe):
-            self.cs.touch(probe)
+            cs.touch(probe)
             response = interest.probe_response
             if self.id not in response and len(response) < PROBE_RESPONSE_CAPACITY:
                 interest = interest.clone()
@@ -532,12 +549,14 @@ class RouterState:
             out.transmit(self.id, iface, interest, now)
             out.arm_timeout(self.id, entry)
             return None
-        outs = [nb for nb in self.neighbors if nb != in_iface]
-        for nb in outs:
-            out.transmit(self.id, nb, interest, now)
+        sent = False
+        for nb in self.neighbors:
+            if nb != in_iface:
+                out.transmit(self.id, nb, interest, now)
+                sent = True
         # With no route the entry stays pending until it times out.
         out.arm_timeout(self.id, entry)
-        return None if outs else "no-route"
+        return None if sent else "no-route"
 
     def on_data(self, data: DataPacket, in_iface: RouterId, now: float,
                 out) -> str | None:
@@ -551,14 +570,15 @@ class RouterState:
         entry = self.pit.pop(name, None)
         if entry is None:
             return "unsolicited"
-        if not self.holds(name):
-            self._cache(name)
-        else:
+        if name in self.origin or name in self.cs.entries:
             self.cs.touch(name)
+        else:
+            self._cache(name)
         self.fib_update(name, [data.provider_id], now)
         if entry.local_issued:
             out.deliver(data, entry.local_issued, entry.expected_provider, now)
-        for iface in sorted(entry.incoming):
+        incoming = entry.incoming
+        for iface in incoming if len(incoming) < 2 else sorted(incoming):
             out.transmit(self.id, iface, data, now)
         return None
 

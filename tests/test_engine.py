@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 from collections import Counter, deque
 
@@ -173,6 +174,22 @@ class TestSharedNetwork:
             assert router.spt is b.routers[rid].spt
             assert router.origin is b.routers[rid].origin
 
+    def test_abilene_network_holds_at_most_170_kib(self):
+        text = data_path("abilene.topo").read_text()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            network = engine.shared_network.__wrapped__(text, 100)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 170 * 1024
+        producers = set(network.graph.producers())
+        for rid, origin in network.origins.items():
+            prefix = network.graph.name_of[rid]
+            assert origin == {n for n in network.catalog
+                              if rid in producers and n.prefix == prefix}
+
     def test_file_rewritten_in_place_is_parsed_again(self, tmp_path):
         path = tmp_path / "net.topo"
         path.write_text("node A producer consumer\nnode B\nedge A B\n")
@@ -226,6 +243,21 @@ class TestIssueAdmission:
         report = sim.run()
         assert report.issued_interests == 2 * 3 * 6
         assert 0 < max(queued) <= 2 * 3  # consumers x interest_frequency
+
+    def test_the_plan_frees_the_issues_it_has_queued(self):
+        sim = Simulation(Scenario(sim_duration=20.0, **LINE_SCENARIO))
+        per_second = 2 * 3  # consumers x interest_frequency
+        on_second = sim._on_second
+        held = []
+
+        def recording(second):
+            on_second(second)
+            held.append((len(sim._plan), len(sim._plan) - sim._next_issue))
+        sim._on_second = recording
+        report = sim.run()
+        assert report.issued_interests == 20 * per_second
+        assert len(held) == 20  # the end wins the tie with the tick at 20
+        assert all(size <= 2 * unqueued + per_second for size, unqueued in held)
 
     @pytest.mark.parametrize("duration,churns", [(3.0, 2), (3.5, 3)])
     def test_churn_runs_at_whole_seconds_from_one(self, monkeypatch,

@@ -115,6 +115,42 @@ class TestContentStore:
         with pytest.raises(ValueError):
             ContentStore(0)
 
+    @pytest.mark.parametrize("capacity,budget", [(480, 45), (12, 60)])
+    def test_a_churned_store_stays_near_its_fresh_size(self, capacity, budget):
+        """Under LRU churn the table averages at most `budget` bytes per
+        unit of capacity (about 75 and 97 without rebuilds), is rebuilt at
+        most four times per capacity's worth of evictions, and keeps the
+        order of an `OrderedDict` oracle."""
+        rng = random.Random(1)
+        names = [name(f"P/{i}") for i in range(2000)]
+        cs = ContentStore(capacity)
+        oracle = OrderedDict()
+        steps = 20_000
+        table, tables = cs.entries, 1
+        table_bytes = evictions = 0
+        for _ in range(steps):
+            n = rng.choice(names)
+            if rng.random() < 0.5:
+                evicted = cs.insert(n)
+                if n not in oracle and len(oracle) >= capacity:
+                    assert evicted == oracle.popitem(last=False)[0]
+                    evictions += 1
+                else:
+                    assert evicted is None
+                oracle[n] = None
+                oracle.move_to_end(n)
+            else:
+                cs.touch(n)
+                if n in oracle:
+                    oracle.move_to_end(n)
+            assert list(cs.entries) == list(oracle)
+            if cs.entries is not table:
+                table = cs.entries
+                tables += 1
+            table_bytes += sys.getsizeof(cs.entries)
+        assert table_bytes / steps / capacity <= budget
+        assert tables <= 4 * evictions / capacity + 1
+
 
 TABLE_NAMES = [name(f"P/{i}") for i in range(6)]
 table_names = st.sampled_from(TABLE_NAMES)
