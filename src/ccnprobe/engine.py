@@ -9,7 +9,7 @@ import math
 import random
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from typing import NamedTuple
@@ -175,10 +175,6 @@ class IssuePlan(Sequence):
                              self.names[index], self.catalog)
         return (self.times[index], self.consumers[index],
                 self.catalog[self.names[index]])
-
-    def __iter__(self) -> Iterator[tuple[float, RouterId, ContentName]]:
-        return zip(self.times, self.consumers,
-                   map(self.catalog.__getitem__, self.names))
 
 
 def generate_interest_events(consumers: list[RouterId],

@@ -71,9 +71,6 @@ class ContentStore:
         entries[name] = None
         return evicted
 
-    def remove(self, name: ContentName) -> None:
-        self.entries.pop(name, None)
-
 
 @dataclass(slots=True)
 class PitEntry:
@@ -91,7 +88,7 @@ class PitEntry:
 
 @dataclass(slots=True)
 class FibEntry:
-    # Never changed in place: a router's one-provider entries share a list.
+    # Never changed in place; one-provider entries share their list.
     providers: list[RouterId]
     last_update: float
 
@@ -104,6 +101,184 @@ def _slot(times: list[float], names: list[ContentName], updated: float,
     while i < len(times) and times[i] == updated and names[i] < name:
         i += 1
     return i
+
+
+def _min_cost(spt: SPTable, providers: list[RouterId]) -> float:
+    """SPT cost of the nearest provider; unreachable ones count as INF."""
+    cost = INF
+    routes = spt.entries
+    for rid in providers:
+        route = routes.get(rid)
+        if route is not None and route.cost < cost:
+            cost = route.cost
+    return cost
+
+
+# -- probe selectors ------------------------------------------------------------
+# One class per probe strategy, whose `pick(router, rng, sending)` is the
+# router's `select_probe`. A selector with an index defines only the hooks it
+# needs, so a change no index reads costs no call. None stands for an absent
+# entry or name: `fib_changed(router, name, old, new)` on each FIB write or
+# eviction, `cache_changed(router, added, removed)` on each content-store
+# insert or churn eviction, and `spt_replaced(router)` after an SPT change.
+
+
+@dataclass(slots=True)
+class PitProbe:
+    """pit-probe: the pending name with the most arrivals, then the earliest
+    deadline, then the smallest name. A minimum over the PIT; no index."""
+
+    def pick(self, router, rng, sending) -> ContentName | None:
+        cached = router.cs.entries
+        origin = router.origin
+        return min(((-entry.arrival_count, entry.deadline, name)
+                    for name, entry in router.pit.items()
+                    if name not in cached and name not in origin and name != sending),
+                   default=(None,))[-1]
+
+
+@dataclass(slots=True)
+class FibProbe:
+    """fib-probe: the highest nearest-provider cost, then the oldest update,
+    then the smallest name.
+
+    `by_cost` holds the FIB's names by nearest-provider cost, each cost as
+    (update times ascending, names in the same order, by name where the
+    times tie). A pick walks the costs from the highest down, each cost's
+    names oldest first: O(costs + held names skipped + 1). A FIB write moves
+    its name in O(log N_FIB), nearly always to the end of a cost's lists.
+    """
+
+    by_cost: dict[float, tuple[list, list]] = field(default_factory=dict)
+
+    def pick(self, router, rng, sending) -> ContentName | None:
+        cached = router.cs.entries
+        origin = router.origin
+        by_cost = self.by_cost
+        for cost in sorted(by_cost, reverse=True):
+            for name in by_cost[cost][1]:
+                # Most names passed over are cached, so that test comes first.
+                if name not in cached and name not in origin and name != sending:
+                    return name
+        return None
+
+    def fib_changed(self, router, name, old, new) -> None:
+        by_cost = self.by_cost
+        if old is not None:
+            times, names = by_cost[_min_cost(router.spt, old.providers)]
+            i = _slot(times, names, old.last_update, name)
+            del times[i]
+            del names[i]
+        if new is not None:
+            cost = _min_cost(router.spt, new.providers)
+            times, names = by_cost.get(cost) or by_cost.setdefault(cost, ([], []))
+            i = _slot(times, names, new.last_update, name)
+            times.insert(i, new.last_update)
+            names.insert(i, name)
+
+    def spt_replaced(self, router) -> None:
+        self.by_cost = {}
+        # In update order, so that each name goes at its list's end.
+        for name, entry in sorted(router.fib.items(),
+                                  key=lambda item: (item[1].last_update, item[0])):
+            self.fib_changed(router, name, None, entry)
+
+
+@dataclass(slots=True)
+class SequentialProbe:
+    """sequential: the FIB's names in the order they entered it, from a
+    cursor that each pick advances. `ring` skips names evicted since, and
+    drops them once it outgrows four times the FIB (or 64 names)."""
+
+    ring: list[ContentName] = field(default_factory=list)
+    cursor: int = 0
+
+    def pick(self, router, rng, sending) -> ContentName | None:
+        ring = self.ring
+        fib = router.fib
+        picked = None
+        for _ in range(len(ring)):
+            name = ring[self.cursor]
+            self.cursor = (self.cursor + 1) % len(ring)
+            if name in fib and name != sending and not router.holds(name):
+                picked = name
+                break
+        if len(ring) > 4 * max(len(fib), 16):
+            self.ring = [n for n in ring if n in fib]
+            self.cursor = 0
+        return picked
+
+    def fib_changed(self, router, name, old, new) -> None:
+        if old is None:
+            self.ring.append(name)
+
+
+@dataclass(slots=True)
+class RandomProbe:
+    """random: a uniform draw from the worthy PIT names, then the worthy FIB
+    names not in the PIT, in that order, without building that pool.
+
+    The FIB part's size is the FIB's size less its held names (`held`, kept
+    by the hooks), its pending names and `sending`; one `randrange` over the
+    whole pool picks the index, and the FIB is walked to it from the nearer
+    end. A pick counts its pool in O(N_PIT) and walks at most half the FIB.
+    """
+
+    held: int = 0
+
+    def pick(self, router, rng, sending) -> ContentName | None:
+        pit = router.pit
+        fib = router.fib
+        cached = router.cs.entries
+        origin = router.origin
+        from_pit = []
+        excluded = self.held
+        for n in pit:
+            if n in cached or n in origin:
+                continue
+            if n in fib:
+                excluded += 1
+            if n != sending:
+                from_pit.append(n)
+        # An interest's own name is pending whenever it is sent, so the PIT
+        # test below passes over `sending` unless it stands apart.
+        sending_apart = sending is not None and sending not in pit
+        if sending_apart and sending in fib and not router.holds(sending):
+            excluded += 1
+        in_fib = len(fib) - excluded
+        size = len(from_pit) + in_fib
+        if size == 0:
+            return None
+        i = rng.randrange(size)
+        if i < len(from_pit):
+            return from_pit[i]
+        i -= len(from_pit)
+        if i < in_fib - 1 - i:
+            names = iter(fib)
+        else:
+            names = reversed(fib)
+            i = in_fib - 1 - i
+        for n in names:
+            if (n not in pit and n not in cached and n not in origin
+                    and not (sending_apart and n == sending)):
+                if i == 0:
+                    return n
+                i -= 1
+        raise RuntimeError(f"router {router.id}: the FIB holds fewer probe "
+                           f"candidates than counted ({in_fib})")
+
+    def fib_changed(self, router, name, old, new) -> None:
+        if (old is None) != (new is None) and router.holds(name):
+            self.held += 1 if old is None else -1
+
+    def cache_changed(self, router, added, removed) -> None:
+        fib = router.fib   # None is never a FIB key
+        self.held += (added in fib) - (removed in fib)
+
+
+_SELECTORS = {ProbeStrategy.NONE: None, ProbeStrategy.PIT_POPULAR: PitProbe,
+              ProbeStrategy.FIB_MAX_COST: FibProbe,
+              ProbeStrategy.SEQUENTIAL: SequentialProbe, ProbeStrategy.RANDOM: RandomProbe}
 
 
 class RouterState:
@@ -150,30 +325,18 @@ class RouterState:
         self.fib: dict[ContentName, FibEntry] = {}
         # The one `[rid]` list that every entry naming only `rid` holds.
         self._solo: dict[RouterId, list[RouterId]] = {}
-        # sequential only: insertion-ordered name ring for the probe cursor;
-        # names evicted from the FIB are skipped lazily.
-        self._fib_ring: list[ContentName] | None = (
-            [] if probe_strategy == ProbeStrategy.SEQUENTIAL else None)
-        self.seq_cursor = 0
-        # fib-probe only: the FIB's names by nearest-provider cost, each cost
-        # as (update times ascending, names in the same order, by name where
-        # the times tie), kept by the FIB writes.
-        self._by_cost: dict[float, tuple[list[float], list[ContentName]]] | None = (
-            {} if probe_strategy == ProbeStrategy.FIB_MAX_COST else None)
-        # random only: how many FIB names this router holds.
-        self._count_held = probe_strategy == ProbeStrategy.RANDOM
-        self._held_in_fib = 0
+        selector = _SELECTORS[probe_strategy]
+        self.selector = None if selector is None else selector()
+        self._fib_changed = getattr(self.selector, "fib_changed", None)
+        self._cache_changed = getattr(self.selector, "cache_changed", None)
+        self._spt_replaced = getattr(self.selector, "spt_replaced", None)
         self._nonces = nonces
 
     def replace_spt(self, spt: SPTable, neighbors: list[RouterId]) -> None:
         self.spt = spt
         self.neighbors = sorted(neighbors)
-        if self._by_cost is not None:
-            self._by_cost = {}
-            # In update order, so that each name goes at its list's end.
-            for name, entry in sorted(self.fib.items(),
-                                      key=lambda item: (item[1].last_update, item[0])):
-                self._rank(name, entry)
+        if self._spt_replaced is not None:
+            self._spt_replaced(self)
 
     def holds(self, name: ContentName) -> bool:
         return name in self.origin or name in self.cs.entries
@@ -185,18 +348,14 @@ class RouterState:
     def _cache(self, name: ContentName) -> None:
         """Cache `name`, which this router does not hold yet."""
         evicted = self.cs.insert(name)
-        if self._count_held:
-            fib = self.fib
-            if name in fib:
-                self._held_in_fib += 1
-            if evicted is not None and evicted in fib:
-                self._held_in_fib -= 1
+        if self._cache_changed is not None:
+            self._cache_changed(self, name, evicted)
 
     def evict_cached(self, name: ContentName) -> None:
         """Drop `name` from the content store (cache churn)."""
-        if self._count_held and name in self.cs.entries and name in self.fib:
-            self._held_in_fib -= 1
-        self.cs.remove(name)
+        if self._cache_changed is not None and name in self.cs.entries:
+            self._cache_changed(self, None, name)
+        self.cs.entries.pop(name, None)
 
     # -- probe selection ----------------------------------------------------
 
@@ -207,116 +366,11 @@ class RouterState:
         A probe names content this router neither sends nor holds: probing
         the interest's own name asks nothing the interest does not already
         ask, and the true cost of held content is zero. Empty source tables
-        (or the basic-ccn strategy) yield no probe; all tie-breaks are fully
-        ordered so reruns pick identically.
-
-        Cost per call: fib-probe walks its costs from the highest down,
-        each cost's names oldest update first, O(costs + held names skipped
-        + 1); random counts its pool in O(N_PIT) and walks at most half the
-        FIB from the nearer end to the drawn index; pit-probe scans the PIT;
-        sequential advances its cursor.
+        (or basic-ccn, whose router holds no selector) yield no probe; all
+        tie-breaks are fully ordered so reruns pick identically.
         """
-        strategy = self.probe_strategy
-        if strategy == ProbeStrategy.NONE:
-            return None
-        if strategy == ProbeStrategy.PIT_POPULAR:
-            best = None
-            best_count = -1
-            best_deadline = INF
-            for name, entry in self.pit.items():
-                count = entry.arrival_count
-                if (count > best_count
-                        or (count == best_count
-                            and (entry.deadline < best_deadline
-                                 or (entry.deadline == best_deadline and name < best)))):
-                    # Checked only for would-be winners: passing over any
-                    # other candidate cannot change the pick.
-                    if name == sending or self.holds(name):
-                        continue
-                    best = name
-                    best_count = count
-                    best_deadline = entry.deadline
-            return best
-        if strategy == ProbeStrategy.FIB_MAX_COST:
-            cached = self.cs.entries
-            origin = self.origin
-            by_cost = self._by_cost
-            for cost in sorted(by_cost, reverse=True):
-                for name in by_cost[cost][1]:
-                    # Most names passed over are cached, so that test comes first.
-                    if name not in cached and name not in origin and name != sending:
-                        return name
-            return None
-        if strategy == ProbeStrategy.SEQUENTIAL:
-            ring = self._fib_ring
-            fib = self.fib
-            for _ in range(len(ring)):
-                name = ring[self.seq_cursor % len(ring)]
-                self.seq_cursor = (self.seq_cursor + 1) % len(ring)
-                if name in fib and name != sending and not self.holds(name):
-                    self._compact_ring()
-                    return name
-            self._compact_ring()
-            return None
-        if strategy == ProbeStrategy.RANDOM:
-            return self._random_probe(rng, sending)
-        raise ValueError(f"unknown probe strategy {strategy!r}")
-
-    def _random_probe(self, rng: random.Random,
-                      sending: ContentName | None) -> ContentName | None:
-        """A uniform draw from the worthy PIT names, then the worthy FIB
-        names not in the PIT, in that order, without building that pool.
-
-        The FIB part's size is the FIB's size less its held names (a kept
-        count), its pending names and `sending`; one `randrange` over the
-        whole pool picks the index, and the FIB is walked to it from the
-        nearer end.
-        """
-        pit = self.pit
-        fib = self.fib
-        cached = self.cs.entries
-        origin = self.origin
-        from_pit = []
-        excluded = self._held_in_fib
-        for n in pit:
-            if n in cached or n in origin:
-                continue
-            if n in fib:
-                excluded += 1
-            if n != sending:
-                from_pit.append(n)
-        # An interest's own name is pending whenever it is sent, so the PIT
-        # test below passes over `sending` unless it stands apart.
-        sending_apart = sending is not None and sending not in pit
-        if sending_apart and sending in fib and not self.holds(sending):
-            excluded += 1
-        in_fib = len(fib) - excluded
-        size = len(from_pit) + in_fib
-        if size == 0:
-            return None
-        i = rng.randrange(size)
-        if i < len(from_pit):
-            return from_pit[i]
-        i -= len(from_pit)
-        if i < in_fib - 1 - i:
-            names = iter(fib)
-        else:
-            names = reversed(fib)
-            i = in_fib - 1 - i
-        for n in names:
-            if (n not in pit and n not in cached and n not in origin
-                    and not (sending_apart and n == sending)):
-                if i == 0:
-                    return n
-                i -= 1
-        raise RuntimeError(f"router {self.id}: the FIB holds fewer probe "
-                           f"candidates than counted ({in_fib})")
-
-    def _compact_ring(self) -> None:
-        if len(self._fib_ring) > 4 * max(len(self.fib), 16):
-            fib = self.fib
-            self._fib_ring = [n for n in self._fib_ring if n in fib]
-            self.seq_cursor = 0
+        selector = self.selector
+        return None if selector is None else selector.pick(self, rng, sending)
 
     # -- provider selection ---------------------------------------------------
 
@@ -391,48 +445,30 @@ class RouterState:
         infinitely far); a brand-new entry may evict the least-recently-used
         FIB entry when the table is full.
 
-        Provider lists are never changed in place: an entry naming one
-        provider holds the router's shared list for it, and a write that
-        adds providers builds the entry a new list at its size.
-
-        Under fib-probe each write also moves the name within its cost's
-        lists: O(log N_FIB) comparisons, a list shift out of the old place,
-        and nearly always an append at the end of the new cost's lists.
-        Under random it keeps the count of held FIB names.
+        A write stores a new entry, so `fib_changed` sees the old one intact,
+        and changes no provider list in place: one-provider entries share the
+        router's list for it, and added providers get a new list at its size.
         """
         if self.id in providers:
             providers = [rid for rid in providers if rid != self.id]
             if not providers:
                 return
         fib = self.fib
-        by_cost = self._by_cost
-        entry = fib.get(name)
-        if entry is None:
+        old = fib.pop(name, None)
+        if old is None:
             if self.fib_capacity is not None and len(fib) >= self.fib_capacity:
                 evicted_name = next(iter(fib))
                 evicted = fib.pop(evicted_name)
-                if by_cost is not None:
-                    self._unrank(evicted_name, evicted)
-                if self._count_held and self.holds(evicted_name):
-                    self._held_in_fib -= 1
+                if self._fib_changed is not None:
+                    self._fib_changed(self, evicted_name, evicted, None)
             known = list(dict.fromkeys(providers))
             if len(known) == 1:
                 known = self._solo.setdefault(known[0], known)
-            entry = FibEntry(known, now)
-            fib[name] = entry
-            if self._fib_ring is not None:
-                self._fib_ring.append(name)
-            if self._count_held and self.holds(name):
-                self._held_in_fib += 1
         else:
-            fib[name] = fib.pop(name)
-            if by_cost is not None:
-                self._unrank(name, entry)
-            known = entry.providers
+            known = old.providers
             for rid in providers:
                 if rid not in known:
                     known = known + [rid]
-            entry.providers = known
         while len(known) > PROBE_RESPONSE_CAPACITY:
             worst_i = 0
             worst_cost = -1.0
@@ -444,35 +480,9 @@ class RouterState:
                     worst_cost = c
                     worst_i = i
             known.pop(worst_i)
-        entry.last_update = now
-        if by_cost is not None:
-            self._rank(name, entry)
-
-    def _rank(self, name: ContentName, entry: FibEntry) -> None:
-        """Put `name` into fib-probe's lists by `entry`'s cost and time."""
-        cost = self._min_cost(entry.providers)
-        times, names = (self._by_cost.get(cost)
-                        or self._by_cost.setdefault(cost, ([], [])))
-        i = _slot(times, names, entry.last_update, name)
-        times.insert(i, entry.last_update)
-        names.insert(i, name)
-
-    def _unrank(self, name: ContentName, entry: FibEntry) -> None:
-        """Take `name` out of fib-probe's lists, before `entry` changes."""
-        times, names = self._by_cost[self._min_cost(entry.providers)]
-        i = _slot(times, names, entry.last_update, name)
-        del times[i]
-        del names[i]
-
-    def _min_cost(self, providers: list[RouterId]) -> float:
-        """SPT cost of the nearest provider; unreachable ones count as INF."""
-        cost = INF
-        routes = self.spt.entries
-        for rid in providers:
-            route = routes.get(rid)
-            if route is not None and route.cost < cost:
-                cost = route.cost
-        return cost
+        entry = fib[name] = FibEntry(known, now)
+        if self._fib_changed is not None:
+            self._fib_changed(self, name, old, entry)
 
     # -- packet handlers ------------------------------------------------------
 
@@ -536,10 +546,7 @@ class RouterState:
                 interest.probe_response.append(self.id)
         elif probe is None and in_iface == LOCAL:
             # A local interest is new, not yet shared: set its probe in place.
-            attached = self.select_probe(now, rng, name)
-            if attached is not None:
-                interest.probe = attached
-                interest.probe_response = []
+            interest.probe = self.select_probe(now, rng, name)
 
         best = self._route(entry, now, in_iface)
         if best is not None:
@@ -599,11 +606,8 @@ class RouterState:
             entry.tried_providers.add(entry.expected_provider)
             entry.expected_provider = None
         nonce = next(self._nonces)
-        interest = InterestPacket(name, nonce)
+        interest = InterestPacket(name, nonce, self.select_probe(now, rng, name))
         entry.seen_nonces.add(nonce)
-        attached = self.select_probe(now, rng, name)
-        if attached is not None:
-            interest.probe = attached
         best = self._route(entry, now, None)
         if best is not None:
             provider, iface = best

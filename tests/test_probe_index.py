@@ -1,6 +1,7 @@
 """Property test: the kept fib-probe order, the counted random draw and
 pit-probe's PIT scan pick exactly what a full scan of the tables picks,
-with the same RNG draws.
+with the same RNG draws; sequential's cursor picks only worthy FIB names
+and, with the tables left alone, comes round to every one of them.
 
 The oracles below are the linear selections the index replaced: a scan of
 every FIB entry's provider costs for fib-probe, and a materialized PIT+FIB
@@ -195,3 +196,54 @@ def test_index_picks_what_the_scan_picks(strategy, ops, fib_capacity,
         apply(router, op)
     for sending in [None, *NAMES]:
         check_selection(router, sending, 7)
+
+
+def check_sequential(router: RouterState, sending, seed: int) -> ContentName | None:
+    """A sequential pick is a FIB name neither sent nor held, None only when
+    there is no such name, and draws nothing from the RNG."""
+    rng = random.Random(seed)
+    state = rng.getstate()
+    picked = router.select_probe(0.0, rng, sending)
+    worthy = [n for n in router.fib if n != sending and not router.holds(n)]
+    assert (picked in worthy) if worthy else (picked is None)
+    assert rng.getstate() == state
+    return picked
+
+
+def sequential_router(fib_capacity, cs_capacity) -> RouterState:
+    graph = TOPOLOGIES[0]
+    return RouterState(0, ContentStore(cs_capacity), build_spt(graph, 0),
+                       graph.adj[0], ProbeStrategy.SEQUENTIAL,
+                       fib_capacity=fib_capacity, origin=ORIGIN,
+                       nonces=itertools.count(1))
+
+
+@given(ops=st.lists(operations, min_size=20, max_size=80),
+       fib_capacity=st.sampled_from([None, 3, 6]),
+       cs_capacity=st.sampled_from([1, 3]))
+def test_sequential_picks_worthy_fib_names_and_comes_round_to_each(
+        ops, fib_capacity, cs_capacity):
+    """The first pick after the ops drops the ring's stale slots if the ring
+    has outgrown 4 * max(|FIB|, 16) slots; as many picks again then visit
+    every worthy name. That bound holds only while the live slots fit under
+    it: a name that re-enters the FIB keeps its old slot too."""
+    router = sequential_router(fib_capacity, cs_capacity)
+    for op in ops:
+        if op[0] == "select":
+            check_sequential(router, op[1], op[2])
+        else:
+            apply(router, op)
+    picks = {check_sequential(router, None, 7)
+             for _ in range(1 + 4 * max(len(router.fib), 16))}
+    assert picks - {None} == {n for n in router.fib if not router.holds(n)}
+
+
+def test_sequential_keeps_every_live_name_when_it_drops_stale_slots():
+    """100 names through a 2-entry FIB leave 98 stale slots in the ring;
+    the pick that drops them keeps both live names in turn."""
+    router = sequential_router(fib_capacity=2, cs_capacity=1)
+    for seq in range(100):
+        router.fib_update(ContentName("B", seq), [1], float(seq))
+    check_sequential(router, None, 7)
+    picks = {check_sequential(router, None, 7) for _ in range(64)}
+    assert picks == set(router.fib)
